@@ -24,12 +24,25 @@ verifies, and its status marks the experiment as *completed* (``ok`` /
 ``timeout``) are re-run on resume — a worker death is exactly the kind
 of transient a resume should retry.  Corrupt artifacts are reported,
 never silently trusted or silently deleted.
+
+The provisioning service's result cache is a RunStore directory too,
+and the store's *index* is the recency and size ledger that bounds it.
+:meth:`RunStore.load_index` reads it from disk once: the
+``index.json`` snapshot, the ``index.journal`` replayed over it, and a
+reconcile against the ``q*.json`` artifacts on disk.  From then on it
+lives in memory as an LRU (an OrderedDict, oldest first) plus shape
+buckets, and each touch or eviction appends one flushed JSON line to
+the journal, which :meth:`RunStore.write_index` compacts into the
+snapshot.  The journal is never fsync'd: artifacts are checksummed and
+fsync'd on their own, so a crash loses only recency and size
+accounting, and the next load rebuilds both from the files on disk.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -43,12 +56,20 @@ __all__ = [
     "INDEX_FORMAT",
     "COMPLETED_STATUSES",
     "canonical_json",
+    "canonical_sha256",
     "RunStore",
 ]
 
 RECORD_FORMAT = "repro-run-record-v1"
 MANIFEST_FORMAT = "repro-run-manifest-v1"
 INDEX_FORMAT = "repro-store-index-v1"
+
+#: artifacts the cache index manages: the result cache's ``q<key>.json``
+#: entries (experiment records never enter the index)
+_INDEXED_GLOB = "q*.json"
+
+#: compact once the journal holds this many lines per live index entry
+_COMPACT_RATIO = 4
 
 #: statuses that mean "this experiment ran to completion" — artifacts
 #: carrying any other status are re-run on ``--resume``.
@@ -85,7 +106,9 @@ def canonical_json(body: dict[str, Any]) -> str:
     return json.dumps(normalized, sort_keys=True)
 
 
-_canonical = canonical_json  # the store's historical internal spelling
+def canonical_sha256(body: Any) -> str:
+    """Hex SHA-256 of :func:`canonical_json` — the artifact checksum."""
+    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
 
 
 class RunStore:
@@ -94,6 +117,8 @@ class RunStore:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._index: dict[str, Any] | None = None  # read on first use
+        self._journal_lines = 0
 
     @classmethod
     def at(cls, label: str, root: str | Path = "results/runs") -> "RunStore":
@@ -113,9 +138,7 @@ class RunStore:
         body = _record_body(record)
         doc = {
             "format": RECORD_FORMAT,
-            "sha256": hashlib.sha256(
-                _canonical(body).encode("utf-8")
-            ).hexdigest(),
+            "sha256": canonical_sha256(body),
             "record": body,
         }
         return atomic_write_text(
@@ -135,10 +158,7 @@ class RunStore:
         body = doc.get("record")
         if not isinstance(body, dict):
             return None
-        digest = hashlib.sha256(
-            _canonical(body).encode("utf-8")
-        ).hexdigest()
-        if digest != doc.get("sha256"):
+        if canonical_sha256(body) != doc.get("sha256"):
             return None
         if body.get("id", "").upper() != experiment_id.upper():
             return None
@@ -205,173 +225,184 @@ class RunStore:
             return None
         return doc
 
-    # -- index + LRU/size-bounded eviction -----------------------------
-    #
-    # The provisioning service uses a RunStore directory as its
-    # content-addressed result cache; ``index.json`` is the recency and
-    # size ledger that makes bounded eviction possible without stat'ing
-    # and re-reading every artifact.  The index is *advisory*: artifacts
-    # remain self-verifying (checksummed) whether or not they are
-    # indexed, and a lost/corrupt index simply rebuilds from the files
-    # on disk.  ``clock`` is a logical LRU counter (no wall time, so
-    # recency ordering is deterministic and replayable).  Entries whose
-    # meta carries a ``"bucket"`` string are additionally filed under
-    # ``doc["buckets"][bucket]`` so shape-scoped lookups (the service's
-    # degraded-mode nearest-neighbour) stay O(bucket) as the index
-    # grows; eviction keeps the two views consistent, and indexes
-    # written before buckets existed rebuild them from metas on load.
+    # -- cache index + LRU/size-bounded eviction -----------------------
+    # ``clock`` is a logical LRU counter, so recency replays exactly;
+    # ``buckets`` files entries by their meta's ``"bucket"`` string.
 
     @property
     def index_path(self) -> Path:
         return self.directory / "index.json"
 
+    @property
+    def journal_path(self) -> Path:
+        return self.directory / "index.journal"
+
+    @property
+    def index(self) -> dict[str, Any]:
+        """The live in-memory index, read from disk on first use."""
+        return self.load_index() if self._index is None else self._index
+
     def load_index(self) -> dict[str, Any]:
-        """The current index document (a fresh empty one if untrusted)."""
+        """Read the index from disk and make it the in-memory state.
+
+        The ``index.json`` snapshot (empty if missing or untrusted),
+        then the journal replayed over it (torn lines skipped), then a
+        reconcile against the artifacts on disk: entries whose file is
+        gone are dropped, every size is re-read, and ``q*.json``
+        artifacts the index lost are adopted as least recently used.
+        Returns the live index document.
+        """
         try:
-            doc = json.loads(self.index_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            doc = None
-        if (
-            not isinstance(doc, dict)
-            or doc.get("format") != INDEX_FORMAT
-            or not isinstance(doc.get("entries"), dict)
-        ):
-            return {
-                "format": INDEX_FORMAT,
-                "clock": 0,
-                "entries": {},
-                "buckets": {},
-            }
-        doc.setdefault("clock", 0)
-        if not isinstance(doc.get("buckets"), dict):
-            # legacy index (pre-bucket): rebuild membership from metas
-            doc["buckets"] = self._rebuild_buckets(doc["entries"])
-        return doc
-
-    @staticmethod
-    def _rebuild_buckets(
-        entries: dict[str, Any],
-    ) -> dict[str, list[str]]:
-        buckets: dict[str, list[str]] = {}
-        for name, entry in entries.items():
-            meta = entry.get("meta")
-            if isinstance(meta, dict) and isinstance(
-                meta.get("bucket"), str
-            ):
-                buckets.setdefault(meta["bucket"], []).append(name)
-        return {b: sorted(ns) for b, ns in sorted(buckets.items())}
-
-    @staticmethod
-    def _drop_from_buckets(
-        doc: dict[str, Any], name: str, entry: Any
-    ) -> None:
-        bucket = ((entry or {}).get("meta") or {}).get("bucket")
-        buckets = doc.get("buckets")
-        if not isinstance(buckets, dict) or not isinstance(bucket, str):
-            return
-        names = buckets.get(bucket)
-        if isinstance(names, list) and name in names:
-            names.remove(name)
-            if not names:
-                del buckets[bucket]
-
-    def bucket_names(
-        self, bucket: str, doc: dict[str, Any] | None = None
-    ) -> list[str]:
-        """Index entry names filed under ``bucket`` (O(bucket), not
-        O(index): the degraded-mode nearest lookup's working set)."""
-        doc = self.load_index() if doc is None else doc
-        names = doc.get("buckets", {}).get(bucket, [])
-        return list(names) if isinstance(names, list) else []
+            doc = json.loads(self.index_path.read_bytes())
+            trusted = doc["format"] == INDEX_FORMAT and isinstance(
+                doc["entries"], dict
+            )
+        except (OSError, ValueError, KeyError, TypeError):
+            trusted = False
+        self._adopt(doc if trusted else {"entries": {}})
+        try:
+            lines = self.journal_path.read_bytes().splitlines()
+        except OSError:
+            lines = []
+        for line in lines:
+            try:
+                self._apply(json.loads(line))
+            except (ValueError, TypeError, KeyError, AttributeError):
+                continue  # a torn tail: the crash lost this record
+        self._journal_lines = len(lines)
+        entries = self.index["entries"]
+        on_disk = {path.stem for path in self.directory.glob(_INDEXED_GLOB)}
+        for name in sorted(on_disk - set(entries), reverse=True):
+            self._file(name, {"bytes": 0, "last_used": 0})
+            entries.move_to_end(name, last=False)
+        for name, entry in list(entries.items()):
+            size = self._size(name)
+            if size is None:
+                self._apply({"drop": name})
+            else:
+                self.index["bytes"] += size - entry["bytes"]
+                entry["bytes"] = size
+        return self.index
 
     def write_index(self, doc: dict[str, Any]) -> Path:
-        """Atomically rewrite ``index.json``."""
-        doc = dict(doc)
-        doc["format"] = INDEX_FORMAT
-        return atomic_write_text(
-            self.index_path,
-            json.dumps(doc, indent=2, sort_keys=True) + "\n",
+        """Compact: make ``doc`` the in-memory index (buckets rebuilt
+        from metas), snapshot it atomically to ``index.json`` and empty
+        the journal.  Returns the snapshot path."""
+        self._adopt(doc)
+        snapshot = {k: self.index[k] for k in ("format", "clock", "entries")}
+        path = atomic_write_text(
+            self.index_path, json.dumps(snapshot, sort_keys=True) + "\n"
         )
+        self.journal_path.write_bytes(b"")
+        self._journal_lines = 0
+        return path
 
-    def touch(
-        self, name: str, *, meta: dict[str, Any] | None = None
-    ) -> dict[str, Any]:
-        """Mark artifact ``<name>.json`` as just used (and (re)index it).
+    def _adopt(self, doc: dict[str, Any]) -> None:
+        entries = doc["entries"]
+        self._index = {
+            "format": INDEX_FORMAT,
+            "clock": int(doc.get("clock", 0)),
+            "bytes": 0,
+            "entries": OrderedDict(),
+            "buckets": {},
+        }
+        recency = sorted(entries, key=lambda k: (entries[k]["last_used"], k))
+        for name in recency:
+            self._file(name, entries[name])
 
-        Bumps the logical clock, records the artifact's current size,
-        merges ``meta`` (small, queryable facts about the entry — the
-        service stores topology/policy/adversary here so degraded-mode
-        nearest-neighbour lookup never has to open artifacts), and
-        atomically rewrites the index.  Returns the updated index doc.
-        """
-        doc = self.load_index()
-        doc["clock"] = int(doc["clock"]) + 1
-        path = self.record_path(name)
-        try:
-            size = path.stat().st_size
-        except OSError:
-            size = 0
-        entry = doc["entries"].setdefault(name.lower(), {})
-        entry["bytes"] = int(size)
-        entry["last_used"] = doc["clock"]
-        if meta is not None:
-            entry["meta"] = meta
+    def _file(self, name: str, entry: dict[str, Any]) -> None:
+        """Put ``entry`` at the most recently used end of the LRU."""
+        self.index["entries"][name] = entry
+        self.index["bytes"] += entry["bytes"]
         bucket = (entry.get("meta") or {}).get("bucket")
         if isinstance(bucket, str):
-            names = doc.setdefault("buckets", {}).setdefault(bucket, [])
-            if name.lower() not in names:
-                names.append(name.lower())
-        self.write_index(doc)
-        return doc
+            self.index["buckets"].setdefault(bucket, set()).add(name)
 
-    def indexed_bytes(self, doc: dict[str, Any] | None = None) -> int:
+    def _apply(self, op: dict[str, Any]) -> None:
+        """One journal record, ``{"drop": name}`` or ``{"touch": name}``
+        with optional ``bytes`` and ``meta``, applied in memory."""
+        index = self.index
+        name = op["drop"] if "drop" in op else op["touch"]
+        entry = index["entries"].pop(name, None)
+        if entry is not None:
+            index["bytes"] -= entry["bytes"]
+            bucket = (entry.get("meta") or {}).get("bucket")
+            index["buckets"].get(bucket, set()).discard(name)
+        if "drop" not in op:
+            entry = {"bytes": 0, **(entry or {}), **op}
+            del entry["touch"]
+            index["clock"] += 1
+            entry["last_used"] = index["clock"]
+            self._file(name, entry)
+
+    def _log(self, ops: list[dict[str, Any]]) -> None:
+        """Apply ``ops`` and append them to the journal, flushed but not
+        fsync'd; compact once the journal outgrows the index."""
+        for op in ops:
+            self._apply(op)
+        if ops:
+            with open(self.journal_path, "a", encoding="utf-8") as fh:
+                fh.write("".join(json.dumps(op) + "\n" for op in ops))
+            self._journal_lines += len(ops)
+        if self._journal_lines > _COMPACT_RATIO * len(self.index["entries"]):
+            self.write_index(self.index)
+
+    def _size(self, name: str) -> int | None:
+        try:
+            return self.record_path(name).stat().st_size
+        except OSError:
+            return None
+
+    def bucket_names(self, bucket: str | None) -> list[str]:
+        """Index entry names filed under ``bucket`` (O(bucket), not
+        O(index): the degraded-mode nearest lookup's working set)."""
+        return list(self.index["buckets"].get(bucket, ()))
+
+    def indexed_bytes(self) -> int:
         """Total artifact bytes currently accounted for by the index."""
-        doc = self.load_index() if doc is None else doc
-        return sum(
-            int(e.get("bytes", 0)) for e in doc["entries"].values()
-        )
+        return self.index["bytes"]
+
+    def touch(self, name: str, *, meta: dict[str, Any] | None = None) -> None:
+        """Mark artifact ``<name>.json`` as just used (and (re)index it).
+
+        Appends one journal line.  A first touch, or one carrying
+        ``meta`` (small, queryable facts such as the query shape), also
+        records the artifact's size; a bare touch of an indexed entry (a
+        cache hit) stats nothing.
+        """
+        name = name.lower()
+        op: dict[str, Any] = {"touch": name}
+        if meta is not None or name not in self.index["entries"]:
+            op["bytes"] = self._size(name) or 0
+        if meta is not None:
+            op["meta"] = meta
+        self._log([op])
+
+    def drop(self, name: str) -> None:
+        """Forget ``name`` in the index; its file, if any, is left alone."""
+        if name.lower() in self.index["entries"]:
+            self._log([{"drop": name.lower()}])
 
     def evict(
-        self,
-        *,
-        max_bytes: int | None = None,
-        max_entries: int | None = None,
+        self, *, max_bytes: int | None = None, max_entries: int | None = None
     ) -> list[str]:
         """Delete least-recently-used artifacts until within bounds.
 
-        Returns the evicted entry names.  Index entries whose files
-        already vanished are pruned (and count as evicted); the index
-        is rewritten atomically once at the end.  ``None`` bounds are
-        unlimited.
+        Pops from the head of the in-memory LRU, so the cost is
+        O(evicted) and no artifact is stat'ed.  Returns the evicted
+        entry names.  ``None`` bounds are unlimited.
         """
-        doc = self.load_index()
-        entries: dict[str, Any] = doc["entries"]
+        count, total = len(self.index["entries"]), self.index["bytes"]
         evicted: list[str] = []
-        for name in list(entries):
-            if not self.record_path(name).exists():
-                self._drop_from_buckets(doc, name, entries[name])
-                del entries[name]
-                evicted.append(name)
-        # oldest first; name tie-break keeps the order deterministic
-        by_age = sorted(
-            entries, key=lambda k: (int(entries[k]["last_used"]), k)
-        )
-        total = self.indexed_bytes(doc)
-        for name in by_age:
-            over_count = (
-                max_entries is not None and len(entries) > max_entries
-            )
-            over_size = max_bytes is not None and total > max_bytes
-            if not (over_count or over_size):
+        for name, entry in self.index["entries"].items():
+            if not (
+                (max_entries is not None and count > max_entries)
+                or (max_bytes is not None and total > max_bytes)
+            ):
                 break
-            total -= int(entries[name].get("bytes", 0))
-            self._drop_from_buckets(doc, name, entries[name])
-            del entries[name]
-            try:
-                self.record_path(name).unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
+            count -= 1
+            total -= entry["bytes"]
             evicted.append(name)
-        if evicted:
-            self.write_index(doc)
+            self.record_path(name).unlink(missing_ok=True)
+        self._log([{"drop": name} for name in evicted])
         return evicted

@@ -504,6 +504,7 @@ class ProvisioningService:
     ) -> tuple[int, dict[str, str], dict[str, Any]]:
         try:
             query = ProvisionQuery.from_dict(json.loads(raw or b"{}"))
+            query.check_runnable()
         except json.JSONDecodeError as err:
             return 400, {}, {"error": f"body is not JSON: {err}"}
         except BadRequest as err:

@@ -2,31 +2,26 @@
 
 Cache entries are checksummed artifacts in a :class:`RunStore`
 directory, one file per content address (`q<sha256-prefix>.json`),
-verified on every read exactly like durable-run artifacts: a flipped
-bit yields a miss, never a wrong answer.  The store's ``index.json``
-(atomically rewritten) provides LRU recency and size accounting; the
-cache evicts through it so the directory stays under the configured
-``max_bytes`` / ``max_entries`` bounds.
+fsync'd and renamed into place before they are served, and verified on
+every read: a flipped bit, a truncated or a missing file is a miss,
+never a wrong answer, and a miss drops the key from the index.
 
-The index also carries each entry's query shape (topology sha, policy,
-adversary), which is what lets graceful degradation answer "the
-nearest cached result" for an unservable query without opening any
-artifact files.  Provision entries are additionally filed under a
-*shape bucket* (topology sha + policy) in the store index, so the
-nearest lookup scans one bucket — O(bucket members), not O(cache) —
-no matter how large the cache grows; eviction prunes bucket
-membership in the same atomic index rewrite that drops the entry.
+The store's index (LRU recency, sizes, query shapes) is read from disk
+once, when the cache opens, and then lives in memory: a hit costs one
+artifact read plus one appended journal line, eviction pops the LRU
+head, and ``stats()`` and ``nearest()`` read memory.  Provision entries
+are filed under a *shape bucket* (topology sha + policy), so a degraded
+answer's "nearest cached result" scans one bucket, not the cache.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any
 
 from ..io.checkpoint import atomic_write_text
-from ..runner.store import RunStore, canonical_json
+from ..runner.store import RunStore, canonical_sha256
 from .protocol import ProvisionQuery
 
 __all__ = ["ENTRY_FORMAT", "ResultCache", "shape_bucket"]
@@ -67,10 +62,20 @@ class ResultCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
+        # the one read of the index from disk, compacted at once
+        self.store.write_index(self.store.load_index())
 
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        return self.store.record_path(_entry_name(key))
+    def _read(self, name: str) -> dict[str, Any] | None:
+        """The verified body of artifact ``name``, or ``None``."""
+        try:
+            doc = json.loads(self.store.record_path(name).read_bytes())
+            body, seal = doc["body"], (doc["format"], doc["sha256"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+        if seal != (ENTRY_FORMAT, canonical_sha256(body)):
+            return None
+        return body if isinstance(body, dict) else None
 
     def get(self, key: str) -> dict[str, Any] | None:
         """The cached response for ``key``, or ``None``.
@@ -78,26 +83,14 @@ class ResultCache:
         Verifies the artifact's checksum and its stored key before
         trusting it, and refreshes the entry's LRU position on a hit.
         """
-        try:
-            doc = json.loads(self._path(key).read_text())
-        except (OSError, json.JSONDecodeError):
+        name = _entry_name(key)
+        body = self._read(name)
+        if body is None or body.get("key") != key:
             self.misses += 1
-            return None
-        body = doc.get("body") if isinstance(doc, dict) else None
-        if (
-            not isinstance(doc, dict)
-            or doc.get("format") != ENTRY_FORMAT
-            or not isinstance(body, dict)
-            or body.get("key") != key
-            or hashlib.sha256(
-                canonical_json(body).encode("utf-8")
-            ).hexdigest()
-            != doc.get("sha256")
-        ):
-            self.misses += 1
+            self.store.drop(name)
             return None
         self.hits += 1
-        self.store.touch(_entry_name(key))
+        self.store.touch(name)
         return body.get("response")
 
     def put(
@@ -105,15 +98,10 @@ class ResultCache:
     ) -> Path:
         """Store ``response`` under ``key``, then evict to the bounds."""
         body = {"key": key, "response": response}
-        doc = {
-            "format": ENTRY_FORMAT,
-            "sha256": hashlib.sha256(
-                canonical_json(body).encode("utf-8")
-            ).hexdigest(),
-            "body": body,
-        }
+        doc = {"format": ENTRY_FORMAT, "sha256": canonical_sha256(body),
+               "body": body}
         path = atomic_write_text(
-            self._path(key),
+            self.store.record_path(_entry_name(key)),
             json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n",
         )
         meta: dict[str, Any] = {
@@ -122,10 +110,8 @@ class ResultCache:
             "policy": query.policy,
             "adversary": query.adversary,
             "steps": query.steps,
+            "bucket": shape_bucket(query),
         }
-        bucket = shape_bucket(query)
-        if bucket is not None:
-            meta["bucket"] = bucket
         self.store.touch(_entry_name(key), meta=meta)
         self.store.evict(
             max_bytes=self.max_bytes, max_entries=self.max_entries
@@ -140,34 +126,18 @@ class ResultCache:
         shape of the provisioning question), most recently used first —
         a stale-but-real measurement beats a purely analytic bound.
         Returns ``None`` when nothing in the cache shares the shape.
-        The scan is scoped to the query's shape bucket in the store
-        index, so its cost tracks the bucket's population, not the
-        cache's.
+        The scan reads one shape bucket in memory: O(bucket), not
+        O(cache).
         """
-        bucket = shape_bucket(query)
-        if bucket is None:
-            return None
-        doc = self.store.load_index()
-        entries = doc["entries"]
-        candidates = [
-            (int(entry.get("last_used", 0)), name)
-            for name in self.store.bucket_names(bucket, doc)
-            if (entry := entries.get(name)) is not None
-            and (meta := entry.get("meta"))
-            and meta.get("kind") == "provision"
-            and meta.get("topology_sha") == query.topology_sha
-            and meta.get("policy") == query.policy
-            and meta.get("adversary") == query.adversary
-        ]
-        for _, name in sorted(candidates, reverse=True):
-            try:
-                doc_ = json.loads(self.store.record_path(name).read_text())
-                body = doc_["body"]
-            except (OSError, json.JSONDecodeError, KeyError, TypeError):
-                continue
-            if hashlib.sha256(
-                canonical_json(body).encode("utf-8")
-            ).hexdigest() == doc_.get("sha256"):
+        entries = self.store.index["entries"]
+        candidates = sorted(
+            (entries[name]["last_used"], name)
+            for name in self.store.bucket_names(shape_bucket(query))
+            if entries[name]["meta"].get("adversary") == query.adversary
+        )
+        for _, name in reversed(candidates):
+            body = self._read(name)
+            if body is not None:
                 return body.get("response")
         return None
 
@@ -178,13 +148,12 @@ class ResultCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict[str, Any]:
-        doc = self.store.load_index()
         return {
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": round(self.hit_rate, 4),
-            "entries": len(doc["entries"]),
-            "bytes": self.store.indexed_bytes(doc),
+            "entries": len(self.store.index["entries"]),
+            "bytes": self.store.indexed_bytes(),
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
         }

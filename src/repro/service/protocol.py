@@ -33,13 +33,12 @@ the fleet advances heterogeneous horizons via ``run_horizons``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import ReproError
 from ..network.buffers import Overflow, coerce_overflow
-from ..runner.store import canonical_json
+from ..runner.store import canonical_sha256
 
 __all__ = [
     "RESPONSE_SCHEMA",
@@ -100,10 +99,7 @@ def topology_sha(spec: str) -> str:
     Hashes the successor array, not the spec string, so two spellings
     of the same tree share cache entries.
     """
-    succ, _, _ = _resolve_topology(spec)
-    return hashlib.sha256(
-        canonical_json({"succ": succ}).encode("utf-8")
-    ).hexdigest()
+    return canonical_sha256({"succ": _resolve_topology(spec)[0]})
 
 
 _ADVERSARIES = (
@@ -175,7 +171,7 @@ class ProvisionQuery:
             q.preset = preset
         else:
             q.topology = str(raw.get("topology", q.topology))
-            _, q.n, q.is_path = _resolve_topology(q.topology)
+            succ, q.n, q.is_path = _resolve_topology(q.topology)
             q.policy = str(raw.get("policy", q.policy))
             from ..policies import available_policies
 
@@ -242,13 +238,29 @@ class ProvisionQuery:
                 except ReproError as err:
                     raise BadRequest(f"bad fault plan: {err}") from err
                 q.faults = faults
-            q.topology_sha = topology_sha(q.topology)
+            q.topology_sha = canonical_sha256({"succ": succ})
         deadline = raw.get("deadline_s")
         if deadline is not None:
             if not isinstance(deadline, (int, float)) or deadline <= 0:
                 raise BadRequest("deadline_s must be a positive number")
             q.deadline_s = float(deadline)
         return q
+
+    def check_runnable(self) -> None:
+        """Reject a well-formed query no engine can run, as a 400.
+
+        ``pressure`` walks the path order, which trees do not have
+        (``repro simulate`` refuses the same pair).  Kept apart from
+        :meth:`from_dict` because such a query still has a content
+        address: perfbench parses its known-failure probe in-process.
+        The front door calls both, so the query never reaches a shard.
+        """
+        if self.adversary == "pressure" and not self.is_path:
+            raise BadRequest(
+                "adversary 'pressure' needs a path topology; trees "
+                "support: "
+                + ", ".join(a for a in _ADVERSARIES if a != "pressure")
+            )
 
     # ------------------------------------------------------------------
     def canonical(self) -> dict[str, Any]:
@@ -277,9 +289,7 @@ class ProvisionQuery:
         }
 
     def cache_key(self) -> str:
-        return hashlib.sha256(
-            canonical_json(self.canonical()).encode("utf-8")
-        ).hexdigest()
+        return canonical_sha256(self.canonical())
 
     def batch_key(self) -> str | None:
         """The coalescing group this query may be co-scheduled in.
@@ -292,18 +302,16 @@ class ProvisionQuery:
         """
         if not coalescible(self):
             return None
-        return hashlib.sha256(
-            canonical_json(
-                {
-                    "topology_sha": self.topology_sha,
-                    "policy": self.policy,
-                    "adversary": self.adversary,
-                    "decision_timing": self.decision_timing,
-                    "overflow": self.overflow,
-                    "buffer_capacity": self.buffer_capacity,
-                }
-            ).encode("utf-8")
-        ).hexdigest()
+        return canonical_sha256(
+            {
+                "topology_sha": self.topology_sha,
+                "policy": self.policy,
+                "adversary": self.adversary,
+                "decision_timing": self.decision_timing,
+                "overflow": self.overflow,
+                "buffer_capacity": self.buffer_capacity,
+            }
+        )
 
     def to_worker_dict(self) -> dict[str, Any]:
         """Everything a shard worker needs, as picklable plain data."""

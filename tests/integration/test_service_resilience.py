@@ -254,6 +254,7 @@ class TestBadRequests:
                 {"policy": "no-such"},
                 {"steps": -4},
                 {"bogus_field": 1},
+                {"topology": "binary:3", "adversary": "pressure"},
             ):
                 status, _, body, _ = post(port, raw)
                 assert status == 400, body

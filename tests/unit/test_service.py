@@ -4,12 +4,16 @@ Covers the resilience primitives (deadlines, admission control,
 circuit breakers, deterministic backoff), query validation and the
 content-address cache key (including the Hypothesis property that the
 key is insensitive to dict ordering and stable across processes), the
-RunStore index/eviction layer, and the checksummed result cache.
+RunStore index/eviction layer (snapshot, journal, reconcile), and the
+checksummed result cache, including the file operations of its hit path.
 """
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -331,6 +335,18 @@ class TestProvisionQueryValidation:
                 {"faults": {"events": [{"kind": "implode"}]}}
             )
 
+    @pytest.mark.parametrize("topology", ["binary:3", "spider:2x3",
+                                          "random:20"])
+    def test_pressure_on_a_tree_is_rejected_at_the_front_door(
+        self, topology
+    ):
+        q = ProvisionQuery.from_dict(
+            {"topology": topology, "adversary": "pressure"}
+        )
+        with pytest.raises(BadRequest, match="adversary 'pressure'"):
+            q.check_runnable()
+        ProvisionQuery.from_dict({"adversary": "pressure"}).check_runnable()
+
     def test_topology_sha_is_on_the_resolved_graph(self):
         assert topology_sha("path:8") == topology_sha("path:8")
         assert topology_sha("path:8") != topology_sha("path:9")
@@ -442,13 +458,29 @@ class TestRunStoreIndex:
         assert evicted == ["a"]  # oldest first, until under the bound
         assert store.indexed_bytes() == 200
 
-    def test_evict_prunes_vanished_files(self, tmp_path):
+    def test_load_prunes_vanished_files(self, tmp_path):
+        """Eviction reads memory only; the next load drops the entry."""
         store = RunStore(tmp_path)
         store.record_path("gone").write_text("data")
         store.touch("gone")
         store.record_path("gone").unlink()
-        assert store.evict() == ["gone"]
+        assert store.evict() == []
         assert store.load_index()["entries"] == {}
+        assert store.indexed_bytes() == 0
+
+    def test_journal_replays_over_the_snapshot(self, tmp_path):
+        store = RunStore(tmp_path)
+        for name in ("a", "b", "c"):
+            store.record_path(name).write_text("data")
+            store.touch(name)
+        store.write_index(store.index)  # compaction
+        store.touch("a")
+        store.evict(max_entries=2)  # journal: touch a, drop b
+        with store.journal_path.open("a") as fh:
+            fh.write('{"touch": "c", "by')  # a torn tail
+        reread = RunStore(tmp_path).load_index()
+        assert list(reread["entries"]) == ["c", "a"]  # LRU order
+        assert reread["clock"] == store.index["clock"]
 
 
 class TestResultCache:
@@ -477,6 +509,40 @@ class TestResultCache:
         text = path.read_text()
         path.write_text(text.replace('"max_height": 3', '"max_height": 9'))
         assert cache.get(q.cache_key()) is None
+
+    def test_miss_on_an_indexed_key_drops_it(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        q = self._query()
+        cache.put(q.cache_key(), {"max_height": 3}, query=q).unlink()
+        assert cache.stats()["entries"] == 1
+        assert cache.get(q.cache_key()) is None
+        assert cache.stats()["entries"] == 0
+        assert cache.stats()["bytes"] == 0
+
+    @pytest.mark.parametrize("damage", ["deleted", "corrupt"])
+    def test_lost_index_is_rebuilt_from_the_artifacts(
+        self, tmp_path, damage
+    ):
+        cache = ResultCache(tmp_path, max_entries=5)
+        for steps in range(1, 11):
+            q = self._query(steps=steps)
+            cache.put(q.cache_key(), {"max_height": steps}, query=q)
+        for path in (tmp_path / "index.json", tmp_path / "index.journal"):
+            if damage == "deleted":
+                path.unlink(missing_ok=True)
+            else:
+                path.write_text('{"format": "repro-store-in')
+        cache = ResultCache(tmp_path, max_entries=5)
+        on_disk = sorted(tmp_path.glob("q*.json"))
+        assert cache.stats()["entries"] == len(on_disk) == 5
+        assert cache.stats()["bytes"] == sum(
+            p.stat().st_size for p in on_disk
+        )
+        for steps in range(11, 21):
+            q = self._query(steps=steps)
+            cache.put(q.cache_key(), {"max_height": steps}, query=q)
+        assert len(list(tmp_path.glob("q*.json"))) == 5
+        assert cache.stats()["entries"] == 5
 
     def test_eviction_keeps_store_under_entry_bound(self, tmp_path):
         cache = ResultCache(tmp_path, max_entries=3)
@@ -514,6 +580,76 @@ class TestResultCache:
         stats = cache.stats()
         assert stats["entries"] == 0 and stats["bytes"] == 0
         assert stats["max_bytes"] == 123 and stats["max_entries"] == 7
+
+
+class TestCacheHitPathIO:
+    """A hit and a put at the bound cost O(1) file operations, whatever
+    the cache holds: calls are counted by patching, nothing is timed."""
+
+    ENTRIES = 4096
+
+    def _full_cache(self, tmp_path):
+        """A cache at its 4096-entry bound, with one real answer."""
+        cache = ResultCache(tmp_path, max_entries=self.ENTRIES)
+        q = ProvisionQuery.from_dict({"topology": "path:16", "steps": 50})
+        real = cache.put(q.cache_key(), {"max_height": 3}, query=q)
+        blob = real.read_bytes()
+        entries = {real.stem: {"bytes": len(blob),
+                               "last_used": self.ENTRIES}}
+        for i in range(self.ENTRIES - 1):
+            name = f"q{i:040x}"
+            cache.store.record_path(name).write_bytes(blob)
+            entries[name] = {"bytes": len(blob), "last_used": i + 1}
+        cache.store.write_index({"clock": self.ENTRIES, "entries": entries})
+        return ResultCache(tmp_path, max_entries=self.ENTRIES), q
+
+    @staticmethod
+    def _journal_lines(tmp_path) -> int:
+        journal = tmp_path / "index.journal"
+        if not journal.exists():
+            return 0
+        return len(journal.read_bytes().splitlines())
+
+    def test_hit_reads_and_writes_no_index_file(self, tmp_path, monkeypatch):
+        cache, q = self._full_cache(tmp_path)
+        touched: list[str] = []
+        real_open, real_replace = io.open, os.replace
+
+        def spy_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                touched.append(os.path.basename(file))
+            return real_open(file, *args, **kwargs)
+
+        def spy_replace(src, dst, *args, **kwargs):
+            touched.append(os.path.basename(dst))
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", spy_open)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        before = self._journal_lines(tmp_path)
+        assert cache.get(q.cache_key()) == {"max_height": 3}
+        assert "index.json" not in touched
+        assert self._journal_lines(tmp_path) - before <= 1
+
+    def test_put_at_the_bound_stats_a_constant_number_of_paths(
+        self, tmp_path, monkeypatch
+    ):
+        cache, _ = self._full_cache(tmp_path)
+        stats: list[str] = []
+        real_stat = os.stat
+
+        def spy_stat(path, *args, **kwargs):
+            stats.append(str(path))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", spy_stat)
+        q = ProvisionQuery.from_dict({"topology": "path:16", "steps": 51})
+        cache.put(q.cache_key(), {"max_height": 4}, query=q)
+        assert len(stats) <= 4, stats  # not one per indexed entry
+        monkeypatch.undo()
+        assert cache.stats()["entries"] == self.ENTRIES
+        assert not (tmp_path / f"q{0:040x}.json").exists()  # the LRU head
 
 
 # ---------------------------------------------------------------------------
