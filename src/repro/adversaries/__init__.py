@@ -3,7 +3,11 @@
 Per-step adversaries implement :class:`Adversary`; the Theorem 3.1
 attack is an *orchestrating* driver (it rewinds the engine between its
 two scenarios) and lives in :mod:`repro.adversaries.lower_bound`.
+:func:`make_adversary` builds the families the CLI and the
+provisioning service name (:data:`ADVERSARY_NAMES`).
 """
+
+from typing import Callable
 
 from .adaptive import (
     BackfillAdversary,
@@ -43,7 +47,29 @@ from .tree_adversaries import (
     TreeSeesawAdversary,
 )
 
+#: family name -> factory taking the run seed (only ``uniform`` uses it)
+_FAMILIES: dict[str, Callable[[int], Adversary]] = {
+    "far-end": lambda seed: FarEndAdversary(),
+    "pre-sink": lambda seed: PreSinkAdversary(),
+    "seesaw": lambda seed: SeesawAdversary(),
+    "pressure": lambda seed: PressureAdversary(),
+    "uniform": lambda seed: UniformRandomAdversary(seed=seed),
+    "round-robin": lambda seed: RoundRobinAdversary(),
+    "max-chaser": lambda seed: MaxHeightChaserAdversary(),
+}
+
+#: the adversary families :func:`make_adversary` builds by name
+ADVERSARY_NAMES = tuple(_FAMILIES)
+
+
+def make_adversary(name: str, seed: int = 0) -> Adversary:
+    """A fresh adversary of the named family (see :data:`ADVERSARY_NAMES`)."""
+    return _FAMILIES[name](seed)
+
+
 __all__ = [
+    "ADVERSARY_NAMES",
+    "make_adversary",
     "Adversary",
     "NullAdversary",
     "validate_injections",

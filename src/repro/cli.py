@@ -26,6 +26,7 @@ import argparse
 import sys
 from typing import Sequence
 
+from .adversaries import ADVERSARY_NAMES, make_adversary
 from .analysis.tables import format_table
 from .experiments import all_experiment_ids, get_experiment
 from .io.results import save_result
@@ -103,9 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="path:N | spider:ARMSxLEN | binary:DEPTH | "
                         "random:N (default path:256)")
     c.add_argument("--adversary", default="uniform",
-                   choices=("far-end", "pre-sink", "seesaw", "pressure",
-                            "uniform", "round-robin", "max-chaser",
-                            "attack"))
+                   choices=ADVERSARY_NAMES + ("attack",))
     c.add_argument("--steps", type=int, default=None)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--show-figure", action="store_true",
@@ -127,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--policy", default="odd-even",
                    choices=available_policies())
     s.add_argument("--adversary", default="seesaw",
-                   choices=("far-end", "pre-sink", "seesaw", "pressure",
-                            "uniform", "round-robin", "max-chaser"))
+                   choices=ADVERSARY_NAMES)
     s.add_argument("-n", type=int, default=128)
     s.add_argument("--steps", type=int, default=None)
     s.add_argument("--seed", type=int, default=0)
@@ -209,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flush a forming batch early once it holds "
                         "this many distinct queries (default 64)")
     v.add_argument("--no-batching", action="store_true",
-                   help="disable query coalescing: every cache miss "
-                        "takes the solo per-query worker path")
+                   help="another way to write --batch-max-lanes 1: "
+                        "every cache miss runs at once as a one-lane "
+                        "batch, with no window wait")
     v.add_argument("--max-connections", type=int, default=256,
                    metavar="N",
                    help="concurrent-connection bound: connections "
@@ -234,22 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "requests get this long to finish, then are "
                         "force-cancelled with accounting (default 5)")
     return p
-
-
-def _make_adversary(name: str, seed: int):
-    from . import adversaries as adv
-
-    table = {
-        "far-end": adv.FarEndAdversary,
-        "pre-sink": adv.PreSinkAdversary,
-        "seesaw": adv.SeesawAdversary,
-        "pressure": adv.PressureAdversary,
-        "round-robin": adv.RoundRobinAdversary,
-        "max-chaser": adv.MaxHeightChaserAdversary,
-    }
-    if name == "uniform":
-        return adv.UniformRandomAdversary(seed=seed)
-    return table[name]()
 
 
 def _cmd_list() -> int:
@@ -445,8 +428,7 @@ def _parse_sim_topology(engine: str, spec: str | None, n: int):
 # path order, pre-sink/seesaw walk the tree's child lists — neither
 # structure exists on a general DAG
 _ENGINE_ADVERSARIES = {
-    "path": ("far-end", "pre-sink", "seesaw", "pressure", "uniform",
-             "round-robin", "max-chaser"),
+    "path": ADVERSARY_NAMES,
     "tree": ("far-end", "pre-sink", "seesaw", "uniform", "round-robin",
              "max-chaser"),
     "dag": ("far-end", "uniform", "round-robin", "max-chaser"),
@@ -468,7 +450,7 @@ def _make_sim_adversary(engine: str, name: str, seed: int):
             f"adversary {name!r} {reason}; engine {engine!r} supports: "
             + ", ".join(allowed)
         )
-    return _make_adversary(name, seed)
+    return make_adversary(name, seed)
 
 
 def _make_sim_policy(engine: str, policy: str):
@@ -622,7 +604,7 @@ def _cmd_certify(topology: str, adversary: str, steps: int | None,
         else:
             cert = None
             report = certify_path_run(
-                n, _make_adversary(adversary, seed), steps,
+                n, make_adversary(adversary, seed), steps,
                 validate_every=5,
             )
         print(f"CERTIFIED path run: n={n}, rounds={report.rounds}, "
@@ -638,7 +620,7 @@ def _cmd_certify(topology: str, adversary: str, steps: int | None,
         return 0 if report.certified else 1
 
     steps = steps if steps is not None else 12 * tree.n
-    adv = _make_adversary(
+    adv = make_adversary(
         "uniform" if adversary == "attack" else adversary, seed
     )
     report = certify_tree_run(tree, adv, steps, validate_every=5)
@@ -707,9 +689,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_max_bytes=args.cache_max_bytes,
         cache_max_entries=args.cache_max_entries,
         degrade=not args.no_degrade,
-        batching=not args.no_batching,
         batch_window_ms=args.batch_window_ms,
-        batch_max_lanes=args.batch_max_lanes,
+        batch_max_lanes=1 if args.no_batching else args.batch_max_lanes,
         max_connections=args.max_connections,
         max_connections_per_peer=args.max_connections_per_peer,
         io_timeout_s=args.io_timeout_s,

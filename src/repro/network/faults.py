@@ -66,6 +66,7 @@ __all__ = [
     "StepFaults",
     "NO_FAULTS",
     "FaultInjector",
+    "check_fault_nodes",
     "run_with_recovery",
 ]
 
@@ -315,6 +316,23 @@ NO_FAULTS = StepFaults()
 """Singleton verdict for a fault-free step."""
 
 
+def check_fault_nodes(plan: FaultPlan, n: int, sink: int) -> None:
+    """Raise :class:`FaultError` if an event names the sink or a node
+    outside ``0..n-1``."""
+    for e in plan.events:
+        if e.node is None:
+            continue
+        if not 0 <= e.node < n:
+            raise FaultError(
+                f"fault event targets node {e.node}, out of range for n={n}"
+            )
+        if e.node == sink:
+            raise FaultError(
+                "faults cannot target the sink (it is the measurement "
+                "boundary, not a buffering node)"
+            )
+
+
 class FaultInjector:
     """Stateful interpreter of a :class:`FaultPlan` for one engine.
 
@@ -330,18 +348,7 @@ class FaultInjector:
         self.plan = plan
         self.n = int(topology.n)
         self.sink = int(topology.sink)
-        for e in plan.events:
-            if e.node is not None:
-                if not 0 <= e.node < self.n:
-                    raise FaultError(
-                        f"fault event targets node {e.node}, out of range "
-                        f"for n={self.n}"
-                    )
-                if e.node == self.sink:
-                    raise FaultError(
-                        "faults cannot target the sink (it is the "
-                        "measurement boundary, not a buffering node)"
-                    )
+        check_fault_nodes(plan, self.n, self.sink)
         self._by_start: dict[int, list[FaultEvent]] = {}
         for e in plan.events:
             self._by_start.setdefault(e.start, []).append(e)

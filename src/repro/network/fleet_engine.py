@@ -22,11 +22,13 @@ each run is classified:
   rows live in the height matrix and advance together.  Finite buffers
   are vectorised too — all three overflow disciplines, including the
   receiver-first ``(depth, id)`` push-back cascade.
-* **fallback lanes** — adaptive adversaries, fault plans, or a policy
-  without a fleet rule.  Each such run gets its own PathEngine (on the
-  canonical path) or TreeEngine with a deep-copied policy, stepped
-  alongside the matrix, so the fleet's results are complete either
-  way.
+* **fallback lanes** — adaptive adversaries, fault plans, a policy
+  without a fleet rule, or a fleet of one run (a one-row matrix has
+  nothing to vectorise across).  Each such run gets its own PathEngine
+  (on the canonical path) or TreeEngine with a deep-copied policy, so
+  the fleet's results are complete either way.  A faulted lane runs
+  under :func:`~repro.network.faults.run_with_recovery`, so it
+  survives its ``halt`` events the way a lone engine does.
 
 Every lane — vectorised or not — is **bit-identical** to running that
 configuration alone on PathEngine/TreeEngine/Simulator (the Hypothesis
@@ -38,10 +40,7 @@ is honoured fleet-wide: per-run :class:`LossLedger` conservation,
 ``load_checkpoint`` through :mod:`repro.io.checkpoint`.
 
 What a fleet does **not** do: per-step traces and sampled series (use
-a dedicated engine for instrumented single runs), and a halting fault
-plan aborts :meth:`run` mid-horizon with the other lanes already
-advanced — crash/resume drills belong on one engine under
-:func:`~repro.network.faults.run_with_recovery`.
+a dedicated engine for instrumented single runs).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ import numpy as np
 
 from .buffers import Overflow, coerce_overflow
 from .engine_fast import DecisionTiming, PathEngine, _NO_DELAYS
-from .faults import FaultInjector, FaultPlan
+from .faults import FaultInjector, FaultPlan, run_with_recovery
 from .metrics import LossLedger
 from .simulator import RunResult
 from .topology import SINK_SUCC, Topology, path
@@ -179,13 +178,16 @@ class FleetEngine:
         # The shared policy is row-vectorisable iff a throwaway copy
         # answers fleet_send_counts (the copy absorbs any probe side
         # effects, e.g. a round-robin rotation tick) and the policy
-        # does not consume per-step injection observations.
-        probe = copy.deepcopy(policy).fleet_send_counts(
-            np.zeros((1, n), dtype=_H_DTYPE), topology, self.capacity
-        )
-        vec_policy = probe is not None and (
-            type(policy).observe_injections
+        # does not consume per-step injection observations.  A fleet
+        # of one run skips the probe: it steps on a dedicated engine.
+        vec_policy = (
+            self.runs > 1
+            and type(policy).observe_injections
             is ForwardingPolicy.observe_injections
+            and copy.deepcopy(policy).fleet_send_counts(
+                np.zeros((1, n), dtype=_H_DTYPE), topology, self.capacity
+            )
+            is not None
         )
         self._vec_rows: list[int] = []
         self._engines: dict[int, Any] = {}
@@ -243,6 +245,14 @@ class FleetEngine:
             return PathEngine(self.topology.n, lane_policy, adv, **kwargs)
         return TreeEngine(self.topology, lane_policy, adv, **kwargs)
 
+    @staticmethod
+    def _advance(eng, steps: int) -> None:
+        """Step one fallback lane; a faulted lane survives its halts."""
+        if eng.faults is None:
+            eng.run(steps)
+        elif steps > 0:
+            run_with_recovery(eng, steps, snapshot_every=max(1, steps // 8))
+
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
@@ -294,7 +304,7 @@ class FleetEngine:
         if steps <= 0:
             return self
         for eng in self._engines.values():
-            eng.run(steps)
+            self._advance(eng, steps)
         if self._vec_rows:
             self._run_vec(steps)
         self.step_index += steps
@@ -310,18 +320,18 @@ class FleetEngine:
     def run_horizons(self, horizons: Sequence[int]) -> list[RunResult]:
         """Heterogeneous sweep: run lane ``r`` to ``horizons[r]`` steps.
 
-        Lanes of a fleet are independent rows of the height matrix, so
-        a fleet can serve runs of *different lengths* in one batched
-        call: the fleet advances in lockstep through the sorted set of
-        horizons, capturing each lane's :class:`RunResult` the moment
-        its own horizon is reached (bit-identical to running that lane
-        alone for exactly ``horizons[r]`` steps), while longer lanes
-        keep advancing.  This is what lets the provisioning service
-        coalesce queries that agree on topology/policy/adversary family
-        but ask for different step budgets.
+        The vectorised rows advance in lockstep through the sorted set
+        of their horizons, capturing each lane's :class:`RunResult`
+        the moment its own horizon is reached, while longer lanes keep
+        advancing.  A fallback lane shares no state with the matrix: it
+        advances straight to its own horizon and stops there, so a
+        faulted lane spends one recovery budget on its whole run.
+        Every result is bit-identical to running that lane alone for
+        exactly ``horizons[r]`` steps.
 
         ``horizons`` are absolute step indices and must each be >= the
-        current ``step_index``.
+        current ``step_index``; afterwards ``step_index`` is the
+        longest horizon.
         """
         if len(horizons) != self.runs:
             raise SimulationError(
@@ -336,11 +346,17 @@ class FleetEngine:
                 f"current step {self.step_index}"
             )
         captured: dict[int, RunResult] = {}
-        for target in sorted(set(targets)):
-            self.run(target - self.step_index)
-            for r, h in enumerate(targets):
-                if h == target:
+        for r, eng in self._engines.items():
+            self._advance(eng, targets[r] - eng.step_index)
+            captured[r] = eng.result()
+        for target in sorted({targets[r] for r in self._vec_rows}):
+            if target > self.step_index:
+                self._run_vec(target - self.step_index)
+                self.step_index = target
+            for r in self._vec_rows:
+                if targets[r] == target:
                     captured[r] = self.result(r)
+        self.step_index = max(self.step_index, *targets)
         return [captured[r] for r in range(self.runs)]
 
     # ------------------------------------------------------------------

@@ -116,8 +116,10 @@ class Topology:
 
     @staticmethod
     def _compute_depths(succ: np.ndarray, sink: int) -> np.ndarray:
+        # plain lists, O(n); a cycle's chain outgrows n and raises
         n = succ.size
-        depth = np.full(n, -1, dtype=np.int64)
+        nxt = succ.tolist()
+        depth = [-1] * n
         depth[sink] = 0
         for v in range(n):
             if depth[v] >= 0:
@@ -126,17 +128,15 @@ class Topology:
             u = v
             while depth[u] < 0:
                 chain.append(u)
-                u = int(succ[u])
+                u = nxt[u]
                 if u == SINK_SUCC:
                     raise TopologyError("found a second root")
                 if len(chain) > n:
                     raise TopologyError("cycle detected in successor array")
-                if u in chain:  # pragma: no cover - caught by len check too
-                    raise TopologyError("cycle detected in successor array")
             base = depth[u]
             for i, w in enumerate(reversed(chain), start=1):
                 depth[w] = base + i
-        return depth
+        return np.asarray(depth, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Basic properties

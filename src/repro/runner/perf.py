@@ -268,13 +268,13 @@ def service_throughput(
     sharing one batch key (far-end adversary, heterogeneous per-lane
     step budgets so every cache key is distinct) is answered twice
     through the real worker bodies: once per-query via
-    :func:`~repro.service.worker.execute_query` (the solo path), once
-    coalesced into batches of up to ``max_lanes`` lanes via
-    :func:`~repro.service.worker.execute_batch` (one FleetEngine call
-    per batch).  Every per-lane response is asserted identical to its
-    solo twin (``compute_s`` aside) before reporting, so a perf record
-    can never be produced by a diverging batched path.  Both rates
-    count queries per second.
+    :func:`~repro.service.worker.execute_query` (a one-run fleet, which
+    steps on its dedicated engine), once coalesced into batches of up
+    to ``max_lanes`` lanes via :func:`~repro.service.worker.execute_batch`
+    (one vectorised FleetEngine call per batch).  Every per-lane
+    response is asserted identical to its solo twin (``compute_s``
+    aside) before reporting, so a perf record can never be produced by
+    a diverging batched path.  Both rates count queries per second.
     """
     from ..service.protocol import ProvisionQuery
     from ..service.worker import execute_batch, execute_query

@@ -18,7 +18,8 @@ workers crash, hang, and saturate:
   per-shard breakers, deadline kills, and pool healing;
 * :mod:`repro.service.batcher` — the micro-batching coalescer that
   turns concurrent cache-missing queries sharing a batch key into one
-  :class:`~repro.network.fleet_engine.FleetEngine` call per batch;
+  :class:`~repro.network.fleet_engine.FleetEngine` call per batch (a
+  query that arrives alone is a one-lane batch);
 * :mod:`repro.service.app` — the HTTP/1.1 front end and endpoints
   (``/provision``, ``/healthz``, ``/readyz``, ``/stats``), hardened
   against hostile clients: connection governor, per-phase I/O
@@ -41,7 +42,7 @@ from .protocol import (
     ServiceError,
     analytic_answer,
     analytic_bound,
-    coalescible,
+    check_answer,
     topology_sha,
 )
 from .resilience import (
@@ -86,7 +87,7 @@ __all__ = [
     "analytic_answer",
     "analytic_bound",
     "backoff_delay",
-    "coalescible",
+    "check_answer",
     "corpus",
     "execute_batch",
     "execute_query",

@@ -9,13 +9,15 @@ Request flow for ``POST /provision``::
     parse+validate ── 400 on bad input
       └─ cache lookup ───────────────── hit → 200 {cached: true}
            └─ admission control ─────── full → 503 + Retry-After
-                └─ query batcher (coalesce by batch key; adaptive /
-                   faulted queries fall through solo)
+                └─ query batcher (every provision query is a lane of
+                   the batch its key selects; experiments go alone)
                      └─ shard pool (deadline, retries, breakers;
                         one FleetEngine call per flushed batch)
-                          ├─ ok ──────────── 200, response cached
+                          ├─ ok ──────────── answer check
+                          │    ├─ pass ───── 200, response cached
+                          │    └─ fail ───── 500 {error}, not cached
                           ├─ query error ─── 422 {error}  (a poisoned
-                             lane 422s alone — batchmates unaffected)
+                          │  lane 422s alone — batchmates unaffected)
                           └─ pool/deadline ─ 200 {degraded: true}
                              (nearest cached result, else the analytic
                              bound) — or 504 when degradation is
@@ -66,7 +68,9 @@ from .cache import ResultCache
 from .protocol import (
     BadRequest,
     ProvisionQuery,
+    ServiceError,
     analytic_answer,
+    check_answer,
 )
 from .resilience import (
     AdmissionController,
@@ -118,7 +122,6 @@ class ServiceConfig:
     cache_max_entries: int | None = 4096
     degrade: bool = True  # False: fail loudly instead of degrading
     est_service_s: float = 0.5  # Retry-After scale per queued request
-    batching: bool = True  # False: every query takes the solo path
     batch_window_ms: float = 4.0  # coalescing window per batch key
     batch_max_lanes: int = 64  # flush early once a batch is this wide
     max_connections: int = 256  # concurrent connections before shedding
@@ -156,7 +159,6 @@ class ProvisioningService:
             self.pool,
             window_s=self.config.batch_window_ms / 1e3,
             max_lanes=self.config.batch_max_lanes,
-            enabled=self.config.batching,
         )
         self.admission = AdmissionController(
             self.config.queue_limit,
@@ -544,6 +546,11 @@ class ProvisioningService:
             return self._degraded(query, str(err))
         finally:
             self.admission.release()
+        try:
+            check_answer(query, response)
+        except ServiceError as err:
+            self.counters.errors += 1
+            return 500, {}, {"error": f"internal error: {err}"}
         self.cache.put(key, response, query=query)
         self.counters.served_ok += 1
         return 200, {}, {**response, "cached": False}

@@ -8,15 +8,16 @@ the cross-run :class:`~repro.network.fleet_engine.FleetEngine` was
 built to vectorise.  The :class:`QueryBatcher` sits between admission
 control and the shard pool and closes that gap:
 
-* queries are grouped by their **batch key**
+* provision queries are grouped by their **batch key**
   (:meth:`~repro.service.protocol.ProvisionQuery.batch_key` — resolved
-  topology sha, policy, adversary family, decision timing, overflow
-  discipline, buffer capacity: everything a FleetEngine fixes
-  fleet-wide), with per-lane seeds and step budgets heterogeneous;
+  topology sha, policy, decision timing, overflow discipline, buffer
+  capacity: everything a FleetEngine fixes fleet-wide), with per-lane
+  adversaries, fault plans, seeds and step budgets heterogeneous;
 * a forming batch is held for a bounded window (``window_s``, a few
   ms) and flushed early when it fills (``max_lanes``) or when a
   member's deadline can no longer afford the wait — so batching never
-  *costs* a request its deadline, it only amortises compute;
+  *costs* a request its deadline, it only amortises compute; with
+  ``max_lanes=1`` every query flushes at once as a one-lane batch;
 * concurrent waiters for the *same* cache key share one lane (the
   thundering-herd dedup the cache itself can't provide mid-flight);
 * each flush becomes **one** :meth:`ShardPool.submit_batch` call, and
@@ -26,10 +27,10 @@ control and the shard pool and closes that gap:
   *fresh* exception instance per request (the app layer degrades each
   independently).
 
-Queries that are not coalescible — adaptive adversaries, fault plans,
-experiment kinds (``batch_key()`` is ``None``) — transparently take
-the existing solo path, and per-lane answers are bit-identical to solo
-execution either way (pinned by the parity property suite).
+Every provision query rides a batch: adaptive adversaries and fault
+plans are per-lane facts of the fleet, not reasons to leave it.  Only
+experiment queries (``batch_key()`` is ``None``) go to
+:meth:`ShardPool.submit` on their own.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class BatcherStats:
     batches_flushed: int = 0
     lanes_flushed: int = 0
     requests_batched: int = 0  # includes same-key waiters sharing a lane
-    requests_solo: int = 0  # fallback path (adaptive/faulted/disabled)
+    requests_solo: int = 0  # experiment queries, which run no fleet
     flush_window: int = 0
     flush_size: int = 0
     flush_deadline: int = 0
@@ -105,7 +106,7 @@ class QueryBatcher:
     Single-event-loop discipline: every method runs on the service's
     loop, so the pending-batch dict needs no locking.  ``submit`` is
     the only entry point; it resolves to exactly the document (or
-    exception) the solo path would have produced for the same query.
+    exception) a one-lane batch of the same query would produce.
     """
 
     def __init__(
@@ -114,7 +115,6 @@ class QueryBatcher:
         *,
         window_s: float = 0.004,
         max_lanes: int = 64,
-        enabled: bool = True,
     ) -> None:
         if window_s <= 0:
             raise ValueError(f"window_s must be positive, got {window_s}")
@@ -123,7 +123,6 @@ class QueryBatcher:
         self.pool = pool
         self.window_s = float(window_s)
         self.max_lanes = int(max_lanes)
-        self.enabled = bool(enabled)
         self.stats = BatcherStats()
         self._pending: dict[str, _Batch] = {}
 
@@ -131,14 +130,14 @@ class QueryBatcher:
     async def submit(
         self, query: ProvisionQuery, deadline: Deadline
     ) -> dict[str, Any]:
-        """Answer ``query`` — coalesced when possible, solo otherwise.
+        """Answer ``query`` as a lane of the batch its key selects.
 
-        Raises whatever :meth:`ShardPool.submit` would raise for this
-        query alone: :class:`QueryFailed` for a deterministic per-lane
-        error, :class:`NoHealthyShard` / :class:`DeadlineExceeded`
-        when the pool or budget is exhausted.
+        Raises what a one-lane batch of this query would raise:
+        :class:`QueryFailed` for a deterministic per-lane error,
+        :class:`NoHealthyShard` / :class:`DeadlineExceeded` when the
+        pool or budget is exhausted.
         """
-        batch_key = query.batch_key() if self.enabled else None
+        batch_key = query.batch_key()
         if batch_key is None:
             self.stats.requests_solo += 1
             return await self.pool.submit(query, deadline)
@@ -246,7 +245,6 @@ class QueryBatcher:
     def stats_dict(self) -> dict[str, Any]:
         return {
             **self.stats.as_dict(),
-            "enabled": self.enabled,
             "window_ms": round(self.window_s * 1e3, 3),
             "max_lanes": self.max_lanes,
             "pending_lanes": self.pending_lanes,

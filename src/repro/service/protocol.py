@@ -23,12 +23,16 @@ dict ordering in the incoming request.
 
 Next to the cache key lives the *batch key* — the coarser content
 address the service's coalescing batcher groups cache-missing queries
-by.  Two queries share a batch key iff one
-:class:`~repro.network.fleet_engine.FleetEngine` can co-schedule them
-as lanes of a single fleet: same resolved topology, policy, adversary
-family, decision timing, overflow discipline and buffer capacity.
-Per-lane facts (steps, seed, deadline) stay out of the batch key —
-the fleet advances heterogeneous horizons via ``run_horizons``.
+by.  Two provision queries share a batch key iff one
+:class:`~repro.network.fleet_engine.FleetEngine` can hold them as
+lanes of a single fleet: same resolved topology, policy, decision
+timing, overflow discipline and buffer capacity.  Per-lane facts
+(adversary, steps, seed, fault plan, deadline) stay out of the batch
+key — the fleet takes one adversary and one fault plan per lane and
+advances heterogeneous horizons via ``run_horizons``.
+
+:func:`check_answer` checks every computed answer in-band before it
+is served or cached.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..adversaries import ADVERSARY_NAMES
 from ..errors import ReproError
 from ..network.buffers import Overflow, coerce_overflow
 from ..runner.store import canonical_sha256
@@ -48,7 +53,7 @@ __all__ = [
     "topology_sha",
     "analytic_bound",
     "analytic_answer",
-    "coalescible",
+    "check_answer",
 ]
 
 RESPONSE_SCHEMA = "repro-provision-v1"
@@ -85,10 +90,12 @@ def _resolve_topology(spec: str):
             t = topo.random_tree(int(arg), seed=0)
         else:
             raise ValueError
-    except (ValueError, TypeError) as err:
+        if t.n < 2:
+            raise ValueError
+    except (ValueError, TypeError, ReproError) as err:
         raise BadRequest(
-            f"bad topology spec {spec!r}; use path:N (N>=2), spider:AxL, "
-            f"binary:D or random:N"
+            f"bad topology spec {spec!r}; use path:N (N>=2), spider:AxL "
+            f"(A, L >= 1), binary:D (D>=1) or random:N (N>=2)"
         ) from err
     return [int(s) for s in t.succ], t.n, bool(t.is_canonical_path)
 
@@ -101,20 +108,6 @@ def topology_sha(spec: str) -> str:
     """
     return canonical_sha256({"succ": _resolve_topology(spec)[0]})
 
-
-_ADVERSARIES = (
-    "far-end", "pre-sink", "seesaw", "pressure", "uniform",
-    "round-robin", "max-chaser",
-)
-
-#: adversary families that publish an injection schedule (see
-#: ``Adversary.inject_schedule``) and therefore ride the FleetEngine's
-#: vectorised lanes.  The adaptive families (seesaw, pressure,
-#: max-chaser) react to observed heights step by step and take the
-#: solo per-query path instead.
-_SCHEDULED_ADVERSARIES = frozenset(
-    {"far-end", "pre-sink", "uniform", "round-robin"}
-)
 
 _DECISION_TIMINGS = ("pre_injection", "post_injection")
 
@@ -192,24 +185,24 @@ class ProvisionQuery:
                     f"{', '.join(available_policies())}"
                 )
             q.adversary = str(raw.get("adversary", q.adversary))
-            if q.adversary not in _ADVERSARIES:
+            if q.adversary not in ADVERSARY_NAMES:
                 raise BadRequest(
                     f"unknown adversary {q.adversary!r}; known: "
-                    f"{', '.join(_ADVERSARIES)}"
+                    f"{', '.join(ADVERSARY_NAMES)}"
                 )
             steps = raw.get("steps")
             if steps is not None:
-                if not isinstance(steps, int) or steps < 1 or steps > 200_000:
+                if type(steps) is not int or not 1 <= steps <= 200_000:
                     raise BadRequest(
                         "steps must be an int in [1, 200000] or omitted"
                     )
                 q.steps = steps
             seed = raw.get("seed", 0)
-            if not isinstance(seed, int):
+            if type(seed) is not int:
                 raise BadRequest("seed must be an int")
             q.seed = seed
             cap = raw.get("buffer_capacity")
-            if cap is not None and (not isinstance(cap, int) or cap < 1):
+            if cap is not None and (type(cap) is not int or cap < 1):
                 raise BadRequest("buffer_capacity must be an int >= 1 or null")
             q.buffer_capacity = cap
             try:
@@ -241,7 +234,8 @@ class ProvisionQuery:
             q.topology_sha = canonical_sha256({"succ": succ})
         deadline = raw.get("deadline_s")
         if deadline is not None:
-            if not isinstance(deadline, (int, float)) or deadline <= 0:
+            # type(), not isinstance(): JSON true/false are bools
+            if type(deadline) not in (int, float) or deadline <= 0:
                 raise BadRequest("deadline_s must be a positive number")
             q.deadline_s = float(deadline)
         return q
@@ -250,17 +244,29 @@ class ProvisionQuery:
         """Reject a well-formed query no engine can run, as a 400.
 
         ``pressure`` walks the path order, which trees do not have
-        (``repro simulate`` refuses the same pair).  Kept apart from
-        :meth:`from_dict` because such a query still has a content
-        address: perfbench parses its known-failure probe in-process.
-        The front door calls both, so the query never reaches a shard.
+        (``repro simulate`` refuses the same pair), and a fault event
+        may not name the sink or a node outside the topology.  Kept
+        apart from :meth:`from_dict` because such a query still has a
+        content address: perfbench parses its known-failure probe
+        in-process.  The front door calls both, so the query never
+        reaches a shard, where it would fail its whole batch.
         """
         if self.adversary == "pressure" and not self.is_path:
             raise BadRequest(
                 "adversary 'pressure' needs a path topology; trees "
                 "support: "
-                + ", ".join(a for a in _ADVERSARIES if a != "pressure")
+                + ", ".join(a for a in ADVERSARY_NAMES if a != "pressure")
             )
+        if self.faults is not None:
+            from ..network.faults import FaultPlan, check_fault_nodes
+
+            succ = _resolve_topology(self.topology)[0]
+            try:
+                check_fault_nodes(
+                    FaultPlan.from_dict(self.faults), self.n, succ.index(-1)
+                )
+            except ReproError as err:
+                raise BadRequest(f"faults: {err}") from err
 
     # ------------------------------------------------------------------
     def canonical(self) -> dict[str, Any]:
@@ -296,17 +302,16 @@ class ProvisionQuery:
 
         Everything one FleetEngine construction fixes for all of its
         lanes: the resolved topology, the (shared) policy instance
-        family, the adversary family, decision timing, the overflow
-        discipline and the buffer capacity.  ``None`` for queries that
-        must not be batched (see :func:`coalescible`).
+        family, decision timing, the overflow discipline and the
+        buffer capacity.  ``None`` for experiment queries, which run
+        no fleet.
         """
-        if not coalescible(self):
+        if self.kind != "provision":
             return None
         return canonical_sha256(
             {
                 "topology_sha": self.topology_sha,
                 "policy": self.policy,
-                "adversary": self.adversary,
                 "decision_timing": self.decision_timing,
                 "overflow": self.overflow,
                 "buffer_capacity": self.buffer_capacity,
@@ -329,23 +334,6 @@ class ProvisionQuery:
             "experiment": self.experiment,
             "preset": self.preset,
         }
-
-
-def coalescible(query: ProvisionQuery) -> bool:
-    """May this query be answered as one lane of a batched fleet?
-
-    Provision queries whose adversary publishes an injection schedule
-    and that carry no fault plan batch; everything else (experiment
-    queries, adaptive adversaries, fault overlays — which the solo
-    worker runs under ``run_with_recovery``) transparently takes the
-    existing per-query shard path.  Batched answers are bit-identical
-    to solo ones either way (``tests/property/test_service_batch_parity``).
-    """
-    return (
-        query.kind == "provision"
-        and query.faults is None
-        and query.adversary in _SCHEDULED_ADVERSARIES
-    )
 
 
 def analytic_bound(query: ProvisionQuery) -> float | None:
@@ -376,3 +364,36 @@ def analytic_answer(query: ProvisionQuery, reason: str) -> dict[str, Any]:
         "degraded": True,
         "degraded_reason": reason,
     }
+
+
+def check_answer(query: ProvisionQuery, answer: dict[str, Any]) -> None:
+    """Raise :class:`ServiceError` naming the check an answer fails.
+
+    Conservation is always checked.  ``max_height <= bound`` is checked
+    where the theorem's hypotheses hold: Odd-Even on a path (Theorem
+    4.13) or the Tree policy on a tree (Theorem 5.11), pre-injection
+    decisions, no fault plan and unbounded buffers.  Post-injection
+    runs are left out: the proofs analyse pre-injection decisions
+    (DESIGN.md §3), and E9 checks them against ``log2 n + 4``.
+    """
+    if query.kind != "provision":
+        return
+    a = answer
+    if a["injected"] != a["delivered"] + a["in_flight"] + a["dropped"]:
+        raise ServiceError(
+            "conservation check failed: injected={injected} != "
+            "delivered={delivered} + in_flight={in_flight} + "
+            "dropped={dropped}".format(**a)
+        )
+    bound = analytic_bound(query)
+    if (
+        query.policy == ("odd-even" if query.is_path else "tree-odd-even")
+        and query.decision_timing == "pre_injection"
+        and query.faults is None
+        and query.buffer_capacity is None
+        and a["max_height"] > bound
+    ):
+        raise ServiceError(
+            f"bound check failed: max_height={a['max_height']} > Theorem "
+            f"{'4.13' if query.is_path else '5.11'} bound {bound:g}"
+        )

@@ -1,25 +1,28 @@
 """Shard worker bodies for the provisioning service.
 
-:func:`execute_query` is the module-level (picklable) entry point a
-shard process runs for one solo query; :func:`execute_batch` answers a
-whole coalesced batch with **one** :class:`~repro.network.fleet_engine.
-FleetEngine` call, returning one response per lane in order.  Neither
-raises for in-simulation failures — those come back as an
-``{"error": ...}`` payload so the front end can distinguish "this
-query is bad" (no retry, don't charge the shard's breaker) from "this
-shard died/hung" (retry elsewhere, charge the breaker).  A batch adds
-one more distinction: a single *poisoned lane* yields an ``error``
-payload **for that lane alone** — its batchmates still get real
-answers (fleet construction/run failures fall back to solo per-lane
-execution, each isolated).  Crashes and hangs, of course, don't return
-at all — that's the failure surface the pool's deadlines, breakers,
-and healing exist for, and exactly what the chaos stubs
+:func:`execute_batch` is the one code path that computes a provision
+answer: it answers a coalesced batch with **one**
+:class:`~repro.network.fleet_engine.FleetEngine` call that holds every
+lane — scheduled or adaptive adversary, with or without a fault plan —
+and returns one response per lane, in order.  :func:`execute_query`,
+the module-level (picklable) entry point for one query, answers a
+provision query as a one-lane batch and runs experiment queries
+itself.  Neither raises for in-simulation failures — those come back
+as an ``{"error": ...}`` payload so the front end can distinguish
+"this query is bad" (no retry, don't charge the shard's breaker) from
+"this shard died/hung" (retry elsewhere, charge the breaker).  A batch
+adds one more distinction: a single *poisoned lane* yields an
+``error`` payload **for that lane alone** — its batchmates still get
+real answers (when the shared fleet fails, every lane re-runs as its
+own one-lane batch).  Crashes and hangs, of course, don't return at
+all — that's the failure surface the pool's deadlines, breakers, and
+healing exist for, and exactly what the chaos stubs
 (:mod:`repro.runner.chaos`) inject when routed through the
 ``"experiment"`` query kind.
 
 :func:`warm_worker` is the warm-up body ``ShardPool.warm_up()`` runs
 in every freshly spawned worker: it pre-imports numpy and the engine
-stack and spins a throwaway 1-lane fleet, so the first real batch
+stack and spins a throwaway 2-run fleet, so the first real batch
 never pays the import/allocation latency spike inside its deadline.
 """
 
@@ -72,77 +75,6 @@ def _run_experiment(query: ProvisionQuery) -> dict[str, Any]:
     }
 
 
-def _run_provision(query: ProvisionQuery) -> dict[str, Any]:
-    from ..analysis.occupancy import default_step_budget
-    from ..cli import _make_adversary
-    from ..network.faults import FaultPlan
-
-    steps = (
-        default_step_budget(query.n) if query.steps is None else query.steps
-    )
-    plan = FaultPlan.from_dict(query.faults) if query.faults else None
-    adversary = _make_adversary(query.adversary, query.seed)
-    if query.is_path:
-        from ..network.engine_fast import PathEngine
-        from ..policies import make_policy
-
-        engine: Any = PathEngine(
-            query.n,
-            make_policy(query.policy),
-            adversary,
-            decision_timing=query.decision_timing,  # type: ignore[arg-type]
-            buffer_capacity=query.buffer_capacity,
-            overflow=query.overflow,
-            faults=plan,
-        )
-    else:
-        from ..network.topology import from_parent_array
-        from ..network.tree_engine import TreeEngine
-        from ..policies import TreeOddEvenPolicy
-        from .protocol import _resolve_topology
-
-        succ, _, _ = _resolve_topology(query.topology)
-        engine = TreeEngine(
-            from_parent_array(succ),
-            TreeOddEvenPolicy(),
-            adversary,
-            decision_timing=query.decision_timing,  # type: ignore[arg-type]
-            buffer_capacity=query.buffer_capacity,
-            overflow=query.overflow,
-            faults=plan,
-        )
-    if plan is not None:
-        from ..network.faults import run_with_recovery
-
-        run_with_recovery(engine, steps, snapshot_every=max(1, steps // 8))
-    else:
-        engine.run(steps)
-    t = engine.metrics.tracker
-    ledger = engine.metrics.ledger
-    in_flight = int(engine.heights.sum())
-    return {
-        "schema": RESPONSE_SCHEMA,
-        "kind": "provision",
-        "query": query.canonical(),
-        "cache_key": query.cache_key(),
-        "n": query.n,
-        "steps": steps,
-        # the provisioning answer: buffers of this size lose nothing
-        "max_height": int(t.max_height),
-        "argmax_node": int(t.argmax_node),
-        "bound": analytic_bound(query),
-        # ...and what a smaller buffer / faulty network actually lost
-        "injected": int(engine.metrics.injected),
-        "delivered": int(engine.metrics.delivered),
-        "in_flight": in_flight,
-        "dropped": int(ledger.total),
-        "drops_by_cause": {
-            str(c): int(k) for c, k in sorted(ledger.by_cause().items())
-        },
-        "degraded": False,
-    }
-
-
 def _parse_worker_dict(worker_dict: dict[str, Any]) -> ProvisionQuery:
     """Re-validate a worker dict into a query (None means 'omitted')."""
     return ProvisionQuery.from_dict(
@@ -157,19 +89,19 @@ def _parse_worker_dict(worker_dict: dict[str, Any]) -> ProvisionQuery:
 def execute_query(worker_dict: dict[str, Any]) -> dict[str, Any]:
     """Run one validated query to completion inside a shard process.
 
-    Returns either a response document or ``{"error": message}``;
-    deterministic failures never raise across the process boundary.
+    A provision query is a one-lane batch (:func:`execute_batch`); an
+    experiment query runs the registry experiment.  Returns either a
+    response document or ``{"error": message}``; deterministic
+    failures never raise across the process boundary.
     """
+    if worker_dict.get("kind") != "experiment":
+        return execute_batch([worker_dict])[0]
     t0 = time.perf_counter()
     try:
-        query = _parse_worker_dict(worker_dict)
-        if query.kind == "experiment":
-            response = _run_experiment(query)
-        else:
-            response = _run_provision(query)
+        response = _run_experiment(_parse_worker_dict(worker_dict))
+    except (KeyboardInterrupt, SystemExit):
+        raise
     except BaseException as err:
-        if isinstance(err, (KeyboardInterrupt, SystemExit)):
-            raise
         return {"error": f"{type(err).__name__}: {err}"}
     response["compute_s"] = round(time.perf_counter() - t0, 4)
     return response
@@ -178,9 +110,8 @@ def execute_query(worker_dict: dict[str, Any]) -> dict[str, Any]:
 def _lane_response(
     query: ProvisionQuery, steps: int, result: Any
 ) -> dict[str, Any]:
-    """One batched lane's response, field-for-field identical to the
-    solo :func:`_run_provision` document (``compute_s`` excepted —
-    wall-clock is not part of the answer)."""
+    """One lane's response document (``compute_s`` is added by
+    :func:`execute_batch` — wall-clock is not part of the answer)."""
     return {
         "schema": RESPONSE_SCHEMA,
         "kind": "provision",
@@ -188,9 +119,11 @@ def _lane_response(
         "cache_key": query.cache_key(),
         "n": query.n,
         "steps": steps,
+        # the provisioning answer: buffers of this size lose nothing
         "max_height": int(result.max_height),
         "argmax_node": int(result.argmax_node),
         "bound": analytic_bound(query),
+        # ...and what a smaller buffer / faulty network actually lost
         "injected": int(result.injected),
         "delivered": int(result.delivered),
         "in_flight": int(result.in_flight),
@@ -206,38 +139,34 @@ def _lane_response(
 def _run_fleet_lanes(
     queries: list[ProvisionQuery],
 ) -> list[dict[str, Any]]:
-    """Answer coalesced provision queries with one FleetEngine call.
+    """Answer provision queries with one FleetEngine call.
 
     Every query must share the batch key's facts (topology, policy,
-    adversary family, decision timing, overflow, buffer capacity);
-    per-lane steps and seeds are heterogeneous and served through
+    decision timing, overflow, buffer capacity); per-lane adversaries,
+    steps, seeds and fault plans are heterogeneous and served through
     :meth:`~repro.network.fleet_engine.FleetEngine.run_horizons`.
     """
+    from ..adversaries import make_adversary
     from ..analysis.occupancy import default_step_budget
-    from ..cli import _make_adversary
+    from ..network.faults import FaultPlan
     from ..network.fleet_engine import FleetEngine
     from ..policies import make_policy
     from .protocol import ServiceError, _resolve_topology
 
     head = queries[0]
-    for q in queries[1:]:
-        if (
-            q.topology_sha != head.topology_sha
-            or q.policy != head.policy
-            or q.adversary != head.adversary
-            or q.decision_timing != head.decision_timing
-            or q.overflow != head.overflow
-            or q.buffer_capacity != head.buffer_capacity
-        ):
-            raise ServiceError(
-                "batch mixes incompatible lanes (batch keys disagree)"
-            )
+    if any(q.batch_key() != head.batch_key() for q in queries):
+        raise ServiceError(
+            "batch mixes incompatible lanes (batch keys disagree)"
+        )
     horizons = [
         default_step_budget(q.n) if q.steps is None else q.steps
         for q in queries
     ]
-    adversaries = [_make_adversary(q.adversary, q.seed) for q in queries]
-    policy = make_policy(head.policy)
+    adversaries = [make_adversary(q.adversary, q.seed) for q in queries]
+    faults = [
+        FaultPlan.from_dict(q.faults) if q.faults else None
+        for q in queries
+    ]
     if head.is_path:
         topology: Any = head.n
     else:
@@ -247,17 +176,31 @@ def _run_fleet_lanes(
         topology = from_parent_array(succ)
     fleet = FleetEngine(
         topology,
-        policy,
+        make_policy(head.policy),
         adversaries,
         decision_timing=head.decision_timing,  # type: ignore[arg-type]
         buffer_capacity=head.buffer_capacity,
         overflow=head.overflow,
+        faults=faults,
     )
     results = fleet.run_horizons(horizons)
     return [
         _lane_response(q, steps, res)
         for q, steps, res in zip(queries, horizons, results)
     ]
+
+
+def _answer_lanes(queries: list[ProvisionQuery]) -> list[dict[str, Any]]:
+    """One fleet for every lane; if it fails, each lane alone, so a
+    poisoned lane's error is charged to that lane only."""
+    try:
+        return _run_fleet_lanes(queries)
+    except (KeyboardInterrupt, SystemExit):
+        raise
+    except BaseException as err:
+        if len(queries) == 1:
+            return [{"error": f"{type(err).__name__}: {err}"}]
+    return [_answer_lanes([q])[0] for q in queries]
 
 
 def execute_batch(
@@ -267,43 +210,31 @@ def execute_batch(
 
     Returns exactly one response document (or ``{"error": message}``)
     per input lane, in order.  Failure isolation: a lane that cannot
-    even be parsed errors alone; if the shared fleet construction or
-    run fails, every lane is re-run solo so a poisoned lane's error is
+    even be parsed errors alone; an experiment lane runs on its own;
+    if the shared fleet construction or run fails, every lane is
+    re-run as its own one-lane batch, so a poisoned lane's error is
     charged to that lane only and its batchmates still get real,
     bit-identical answers.
     """
     t0 = time.perf_counter()
     out: list[dict[str, Any] | None] = [None] * len(worker_dicts)
     lanes: list[tuple[int, ProvisionQuery]] = []
-    solo: list[int] = []
     for i, wd in enumerate(worker_dicts):
         try:
             query = _parse_worker_dict(wd)
+        except (KeyboardInterrupt, SystemExit):
+            raise
         except BaseException as err:
-            if isinstance(err, (KeyboardInterrupt, SystemExit)):
-                raise
             out[i] = {"error": f"{type(err).__name__}: {err}"}
             continue
-        # defensive: the batcher never sends experiment/fault queries,
-        # but a batch must answer whatever it was handed — solo path
-        if query.kind != "provision" or query.faults is not None:
-            solo.append(i)
-        else:
+        if query.kind == "provision":
             lanes.append((i, query))
-    if lanes:
-        try:
-            responses = _run_fleet_lanes([q for _, q in lanes])
-        except BaseException as err:
-            if isinstance(err, (KeyboardInterrupt, SystemExit)):
-                raise
-            # poisoned-lane isolation: settle every lane individually
-            solo.extend(i for i, _ in lanes)
-            solo.sort()
         else:
-            for (i, _), response in zip(lanes, responses):
-                out[i] = response
-    for i in solo:
-        out[i] = execute_query(worker_dicts[i])
+            out[i] = execute_query(wd)
+    if lanes:
+        responses = _answer_lanes([q for _, q in lanes])
+        for (i, _), response in zip(lanes, responses):
+            out[i] = response
     compute_s = round(time.perf_counter() - t0, 4)
     done: list[dict[str, Any]] = []
     for response in out:
@@ -316,15 +247,18 @@ def execute_batch(
 def warm_worker() -> int:
     """Pre-pay the import/JIT cost in a fresh shard worker.
 
-    Imports numpy and the engine stack and advances a throwaway 1-lane
-    fleet a few steps, so the first coalesced batch a worker serves
-    starts hot.  Returns the worker's PID (handy for tests asserting
-    the warm-up actually ran in the worker process).
+    Imports numpy and the engine stack and advances a throwaway 2-run
+    fleet a few steps (two runs, so the vectorised kernel warms too),
+    so the first batch a worker serves starts hot.  Returns the
+    worker's PID (handy for tests asserting the warm-up actually ran
+    in the worker process).
     """
     from ..adversaries import FarEndAdversary
     from ..network.fleet_engine import FleetEngine
     from ..policies import OddEvenPolicy
 
-    fleet = FleetEngine(8, OddEvenPolicy(), [FarEndAdversary()])
-    fleet.run_horizons([4])
+    fleet = FleetEngine(
+        8, OddEvenPolicy(), [FarEndAdversary(), FarEndAdversary()]
+    )
+    fleet.run_horizons([4, 4])
     return os.getpid()

@@ -11,8 +11,8 @@ The tentpole's acceptance bar, exercised against a real
   answers;
 * a mid-burst chaos shard kill still yields every response
   correct-or-degraded, with the shard pool healing afterwards;
-* ``--no-batching`` (config ``batching=False``) serves everything
-  solo with identical answers.
+* ``--no-batching`` (config ``batch_max_lanes=1``) serves every
+  query as a one-lane batch with identical answers.
 """
 
 from __future__ import annotations
@@ -177,8 +177,10 @@ class TestBatchedBurst:
             svc.stop()
             chaos.uninstall()
 
-    def test_no_batching_flag_serves_solo_identically(self, tmp_path):
-        svc = make_service(tmp_path, batching=False)
+    def test_no_batching_flag_serves_one_lane_batches_identically(
+        self, tmp_path
+    ):
+        svc = make_service(tmp_path, batch_max_lanes=1)
         try:
             port = svc.port
             bodies = _burst_bodies(4)
@@ -190,8 +192,11 @@ class TestBatchedBurst:
                     _solo_answer(body)["max_height"]
                 )
             _, stats = get(port, "/stats")
-            assert stats["batcher"]["enabled"] is False
-            assert stats["batcher"]["batches_flushed"] == 0
-            assert stats["batcher"]["requests_solo"] == len(bodies)
+            batcher = stats["batcher"]
+            assert batcher["max_lanes"] == 1
+            assert batcher["batches_flushed"] == len(bodies)
+            assert batcher["flushes"]["size"] == len(bodies)
+            assert batcher["mean_occupancy"] == 1.0
+            assert batcher["requests_solo"] == 0
         finally:
             svc.stop()

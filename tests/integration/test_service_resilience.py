@@ -255,6 +255,21 @@ class TestBadRequests:
                 {"steps": -4},
                 {"bogus_field": 1},
                 {"topology": "binary:3", "adversary": "pressure"},
+                # fault plans naming the sink or a node off the topology
+                {"topology": "binary:3", "faults": {"events": [
+                    {"kind": "crash", "start": 1, "node": 0}]}},
+                {"topology": "binary:3", "faults": {"events": [
+                    {"kind": "link_down", "start": 1, "node": 99}]}},
+                {"topology": "path:8", "faults": {"events": [
+                    {"kind": "crash", "start": 1, "node": 7}]}},
+                # JSON booleans are not numbers
+                {"steps": True},
+                {"seed": True},
+                {"buffer_capacity": True},
+                {"deadline_s": True},
+                # topology specs the builders refuse, or of one node
+                {"topology": "spider:0x3"},
+                {"topology": "binary:0"},
             ):
                 status, _, body, _ = post(port, raw)
                 assert status == 400, body

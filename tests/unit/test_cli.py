@@ -22,6 +22,34 @@ class TestParser:
         assert args.policy == "odd-even"
         assert args.n == 128
 
+    def test_adversary_choices_come_from_the_adversaries_package(self):
+        from repro.adversaries import ADVERSARY_NAMES
+
+        parser = build_parser()
+        for name in ADVERSARY_NAMES:
+            assert parser.parse_args(
+                ["simulate", "--adversary", name]
+            ).adversary == name
+        assert parser.parse_args(
+            ["certify", "--adversary", "attack"]
+        ).adversary == "attack"
+
+    @pytest.mark.parametrize("argv, lanes", [
+        (["serve"], 64),
+        (["serve", "--batch-max-lanes", "8"], 8),
+        (["serve", "--no-batching"], 1),
+        (["serve", "--no-batching", "--batch-max-lanes", "8"], 1),
+    ])
+    def test_no_batching_means_one_lane_batches(
+        self, monkeypatch, argv, lanes
+    ):
+        import repro.service.app as app
+
+        seen = []
+        monkeypatch.setattr(app, "run_service", lambda cfg: seen.append(cfg) or 0)
+        assert main(argv) == 0
+        assert seen[0].batch_max_lanes == lanes
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -25,10 +25,16 @@ from repro.adversaries import (
 from repro.analysis.occupancy import measure_path, worst_case_over_suite
 from repro.errors import SimulationError
 from repro.network.engine_fast import PathEngine
-from repro.network.faults import FaultEvent, FaultKind, FaultPlan
+from repro.network.faults import (
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
+    run_with_recovery,
+)
 from repro.network.fleet_engine import FleetEngine
 from repro.network.simulator import RunResult
 from repro.network.topology import balanced_tree
+from repro.network.tree_engine import TreeEngine
 from repro.policies import GreedyPolicy, OddEvenPolicy, TreeOddEvenPolicy
 
 _FIELDS = [
@@ -113,6 +119,59 @@ def test_faulted_lane_falls_back():
     )
     assert fleet.fallback_runs == (1,)
     assert fleet.vectorized_runs == (0, 2)
+
+
+def _same_result(got, want):
+    for name in _FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("tree", [False, True])
+def test_one_run_fleet_steps_on_its_dedicated_engine(tree):
+    # a one-row matrix has nothing to vectorise across: the run steps
+    # on the engine a fallback lane gets, and the probe is skipped
+    topo = balanced_tree(2, 3) if tree else 16
+    policy = TreeOddEvenPolicy if tree else OddEvenPolicy
+    fleet = FleetEngine(topo, policy(), [FarEndAdversary()])
+    assert fleet.fallback_runs == (0,)
+    assert fleet.vectorized_runs == ()
+    got = fleet.run_horizons([60])[0]
+    if tree:
+        eng = TreeEngine(topo, policy(), FarEndAdversary())
+    else:
+        eng = PathEngine(topo, policy(), FarEndAdversary())
+    eng.run(60)
+    _same_result(got, eng.result())
+    assert (fleet.heights[0] == eng.heights).all()
+
+
+def test_halting_faulted_lane_finishes_run_horizons():
+    # a halt used to abort the fleet; the faulted lane now survives it
+    # under run_with_recovery over its own horizon, beside two
+    # vectorised lanes with shorter and longer horizons
+    plan = FaultPlan(events=(
+        FaultEvent(kind=FaultKind.HALT, start=7),
+        FaultEvent(kind=FaultKind.LINK_DOWN, start=3, node=4, duration=5),
+        FaultEvent(kind=FaultKind.HALT, start=21),
+    ))
+    horizons = [20, 33, 45]
+    fleet = FleetEngine(
+        12, OddEvenPolicy(),
+        [FarEndAdversary(), SeesawAdversary(), FixedNodeAdversary(2)],
+        faults=[None, plan, None],
+    )
+    assert fleet.fallback_runs == (1,)
+    got = fleet.run_horizons(horizons)
+    oracle = PathEngine(12, OddEvenPolicy(), SeesawAdversary(), faults=plan)
+    assert run_with_recovery(
+        oracle, horizons[1], snapshot_every=max(1, horizons[1] // 8)
+    ) == 2
+    _same_result(got[1], oracle.result())
+    for r, adv in ((0, FarEndAdversary()), (2, FixedNodeAdversary(2))):
+        eng = PathEngine(12, OddEvenPolicy(), adv)
+        eng.run(horizons[r])
+        _same_result(got[r], eng.result())
+    assert fleet.step_index == max(horizons)
 
 
 def test_mixed_lanes_agree_with_dedicated_engines():

@@ -4,12 +4,15 @@ Covers the resilience primitives (deadlines, admission control,
 circuit breakers, deterministic backoff), query validation and the
 content-address cache key (including the Hypothesis property that the
 key is insensitive to dict ordering and stable across processes), the
-RunStore index/eviction layer (snapshot, journal, reconcile), and the
-checksummed result cache, including the file operations of its hit path.
+RunStore index/eviction layer (snapshot, journal, reconcile), the
+checksummed result cache, including the file operations of its hit
+path, and the in-band answer check the front door runs on every
+computed answer.
 """
 
 from __future__ import annotations
 
+import asyncio
 import builtins
 import io
 import json
@@ -31,10 +34,15 @@ from repro.service import (
     ConnectionRefused,
     Deadline,
     DeadlineExceeded,
+    ProvisioningService,
     ProvisionQuery,
+    QueryBatcher,
     ResultCache,
+    ServiceConfig,
+    ServiceError,
     Shedding,
     backoff_delay,
+    check_answer,
     execute_query,
     topology_sha,
 )
@@ -319,6 +327,9 @@ class TestProvisionQueryValidation:
         {"kind": "experiment", "experiment": "E1", "preset": "huge"},
         {"topology": "path:8", "policy": "tree-odd-even"},
         {"topology": "binary:3", "policy": "odd-even"},
+        {"topology": "spider:0x3"},  # TopologyError used to be a 500
+        {"topology": "binary:0"},  # one node: nothing to forward
+        {"topology": "random:1"},
     ])
     def test_bad_requests_rejected(self, raw):
         with pytest.raises(BadRequest):
@@ -346,6 +357,33 @@ class TestProvisionQueryValidation:
         with pytest.raises(BadRequest, match="adversary 'pressure'"):
             q.check_runnable()
         ProvisionQuery.from_dict({"adversary": "pressure"}).check_runnable()
+
+    @pytest.mark.parametrize("topology, event", [
+        ("binary:3", {"kind": "crash", "start": 1, "node": 0}),
+        ("binary:3", {"kind": "link_down", "start": 1, "node": 99}),
+        ("path:8", {"kind": "crash", "start": 1, "node": 7}),
+        ("path:8", {"kind": "link_down", "start": 1, "node": -1}),
+    ])
+    def test_fault_plan_on_the_sink_or_off_the_topology_is_a_400(
+        self, topology, event
+    ):
+        q = ProvisionQuery.from_dict(
+            {"topology": topology, "faults": {"events": [event]}}
+        )
+        with pytest.raises(BadRequest, match="^faults: "):
+            q.check_runnable()
+        ok = dict(event, node=1)
+        ProvisionQuery.from_dict(
+            {"topology": topology, "faults": {"events": [ok]}}
+        ).check_runnable()
+
+    @pytest.mark.parametrize(
+        "field", ["steps", "seed", "buffer_capacity", "deadline_s"]
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_json_booleans_are_not_numbers(self, field, value):
+        with pytest.raises(BadRequest, match=f"^{field} "):
+            ProvisionQuery.from_dict({field: value})
 
     def test_topology_sha_is_on_the_resolved_graph(self):
         assert topology_sha("path:8") == topology_sha("path:8")
@@ -680,3 +718,71 @@ class TestWorker:
             {"topology": "path:16", "steps": 200, **over}
         )
         return q.to_worker_dict()
+
+
+# ---------------------------------------------------------------------------
+def _answer(**over):
+    q = ProvisionQuery.from_dict({"topology": "path:16", "steps": 200, **over})
+    return q, execute_query(q.to_worker_dict())
+
+
+class TestCheckAnswer:
+    def test_real_answers_pass(self):
+        for over in ({}, {"buffer_capacity": 1}, {"topology": "binary:3"},
+                     {"adversary": "seesaw"}):
+            check_answer(*_answer(**over))
+
+    def test_conservation_is_always_checked(self):
+        q, doc = _answer(buffer_capacity=1, decision_timing="post_injection")
+        doc["dropped"] += 1
+        with pytest.raises(ServiceError, match="conservation check failed"):
+            check_answer(q, doc)
+
+    @pytest.mark.parametrize("topology, theorem", [
+        ("path:16", "4.13"), ("binary:3", "5.11"),
+    ])
+    def test_bound_is_checked_where_the_theorem_holds(self, topology, theorem):
+        q, doc = _answer(topology=topology)
+        doc["max_height"] = int(doc["bound"]) + 1
+        with pytest.raises(ServiceError, match=f"Theorem {theorem} bound"):
+            check_answer(q, doc)
+
+    @pytest.mark.parametrize("over", [
+        {"decision_timing": "post_injection"},
+        {"buffer_capacity": 4},
+        {"faults": {"events": [{"kind": "crash", "start": 3, "node": 2}]}},
+        {"policy": "greedy"},
+    ])
+    def test_bound_is_not_checked_outside_the_hypotheses(self, over):
+        q, doc = _answer(**over)
+        doc["max_height"] = int(doc["bound"]) + 1
+        check_answer(q, doc)
+
+
+class _DoctoringPool:
+    """Duck-typed ShardPool whose answers break conservation."""
+
+    async def submit_batch(self, queries, deadline):
+        docs = [execute_query(q.to_worker_dict()) for q in queries]
+        for doc in docs:
+            doc["delivered"] += 1
+        return docs
+
+
+def test_a_failed_answer_check_is_a_500_and_never_cached(tmp_path):
+    svc = ProvisioningService(
+        ServiceConfig(port=0, cache_dir=str(tmp_path / "cache"))
+    )
+    svc.batcher = QueryBatcher(_DoctoringPool(), window_s=0.001)
+    body = json.dumps({"topology": "path:16", "steps": 50}).encode()
+
+    async def post():
+        slot = svc.governor.register("client")
+        return await svc._provision(body, slot)
+
+    status, _headers, doc = asyncio.run(post())
+    assert status == 500
+    assert "conservation check failed" in doc["error"]
+    assert svc.stats()["served"]["errors"] == 1
+    assert svc.stats()["served"]["ok"] == 0
+    assert svc.cache.stats()["entries"] == 0

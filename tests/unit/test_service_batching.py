@@ -25,7 +25,6 @@ from repro.service import (
     QueryBatcher,
     QueryFailed,
     ResultCache,
-    coalescible,
     execute_batch,
     execute_query,
     warm_worker,
@@ -63,7 +62,6 @@ class TestBatchKey:
         [
             {"topology": "path:17"},
             {"policy": "downhill"},
-            {"adversary": "pre-sink"},
             {"decision_timing": "post_injection"},
             {"overflow": "drop-oldest"},
             {"buffer_capacity": 4},
@@ -75,18 +73,17 @@ class TestBatchKey:
     @pytest.mark.parametrize(
         "adversary", ["seesaw", "pressure", "max-chaser"]
     )
-    def test_adaptive_adversaries_are_not_coalescible(self, adversary):
-        q = _query(adversary=adversary)
-        assert not coalescible(q)
-        assert q.batch_key() is None
+    def test_adaptive_adversaries_are_coalescible(self, adversary):
+        # the fleet takes one adversary per lane, scheduled or adaptive
+        assert _query(adversary=adversary).batch_key() == _query().batch_key()
 
-    def test_faulted_and_experiment_queries_are_not_coalescible(self):
+    def test_faulted_queries_batch_and_experiments_do_not(self):
         faulted = _query(
             faults={"events": [
                 {"start": 5, "kind": "crash", "node": 3},
             ]}
         )
-        assert faulted.batch_key() is None
+        assert faulted.batch_key() == _query().batch_key()
         exp = ProvisionQuery.from_dict(
             {"kind": "experiment", "experiment": "E2"}
         )
@@ -96,7 +93,7 @@ class TestBatchKey:
         "adversary", ["far-end", "pre-sink", "uniform", "round-robin"]
     )
     def test_scheduled_adversaries_are_coalescible(self, adversary):
-        assert _query(adversary=adversary).batch_key() is not None
+        assert _query(adversary=adversary).batch_key() == _query().batch_key()
 
 
 # -- run_horizons ------------------------------------------------------
@@ -151,7 +148,7 @@ class TestExecuteBatch:
     def test_poisoned_lane_isolated_by_solo_fallback(self):
         # scaled-odd-even-2 passes front-end validation but raises
         # PolicyError in the engine: the fleet call fails, every lane
-        # re-runs solo, and only the poisoned lane carries the error
+        # re-runs as its own batch, and only the poisoned lane errors
         poisoned = ProvisionQuery.from_dict(
             {
                 "topology": "path:16",
@@ -229,23 +226,47 @@ class TestQueryBatcher:
         assert batcher.stats.flush_window == 1
         assert batcher.stats_dict()["mean_occupancy"] == 5.0
 
-    def test_adaptive_queries_fall_through_solo(self):
+    def test_adaptive_and_faulted_queries_ride_batches(self):
         pool = _FakePool()
         batcher = QueryBatcher(pool, window_s=0.05)
-        got = _gather(
-            batcher, [_query(adversary="seesaw", steps=30, seed=3)]
-        )
-        assert pool.batch_sizes == []
-        assert len(pool.solo_queries) == 1
-        assert got[0]["degraded"] is False
-        assert batcher.stats.requests_solo == 1
+        queries = [
+            _query(adversary="seesaw", steps=30, seed=3),
+            _query(steps=35, faults={"events": [
+                {"start": 4, "kind": "halt"},
+                {"start": 6, "kind": "link_down", "node": 2, "duration": 3},
+            ]}),
+            _query(steps=40),
+        ]
+        got = _gather(batcher, queries)
+        assert pool.batch_sizes == [3]
+        assert pool.solo_queries == []
+        for q, doc in zip(queries, got):
+            assert doc["degraded"] is False
+            assert _strip(doc) == _strip(execute_query(q.to_worker_dict()))
+        assert batcher.stats.requests_solo == 0
+        assert batcher.stats.requests_batched == 3
 
-    def test_disabled_batcher_is_all_solo(self):
+    def test_one_lane_batcher_flushes_each_query_at_once(self):
+        # --no-batching: max_lanes=1 never waits out the window
         pool = _FakePool()
-        batcher = QueryBatcher(pool, enabled=False)
-        _gather(batcher, [_query(steps=31), _query(steps=32)])
-        assert pool.batch_sizes == []
-        assert len(pool.solo_queries) == 2
+        batcher = QueryBatcher(pool, window_s=30.0, max_lanes=1)
+        got = _gather(batcher, [_query(steps=31), _query(steps=32)])
+        assert all(isinstance(d, dict) for d in got)
+        assert pool.batch_sizes == [1, 1]
+        assert pool.solo_queries == []
+        assert batcher.stats.flush_size == 2
+        assert batcher.stats.flush_window == 0
+
+    def test_experiment_queries_go_to_the_pool_alone(self):
+        pool = _FakePool()
+        batcher = QueryBatcher(pool, window_s=0.05)
+        exp = ProvisionQuery.from_dict(
+            {"kind": "experiment", "experiment": "NOPE"}
+        )
+        got = _gather(batcher, [exp])
+        assert isinstance(got[0], QueryFailed)
+        assert pool.solo_queries == [exp] and pool.batch_sizes == []
+        assert batcher.stats.requests_solo == 1
 
     def test_size_trigger_flushes_early(self):
         # window long enough that the size trigger beats it, but short

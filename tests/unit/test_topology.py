@@ -154,6 +154,36 @@ class TestValidation:
             Topology(np.asarray([], dtype=np.int64))
 
 
+def _hop_count_depths(t):
+    """Reference depths: walk each node's successors to the sink."""
+    out = []
+    for v in range(t.n):
+        d, u = 0, v
+        while u != t.sink:
+            u, d = int(t.succ[u]), d + 1
+        out.append(d)
+    return out
+
+
+class TestDepths:
+    @pytest.mark.parametrize("make", [
+        lambda: path(257),
+        lambda: spider(4, 9),
+        lambda: balanced_tree(2, 6),
+        lambda: random_tree(300, seed=3),
+        lambda: from_parent_array([-1, 0, 0, 2, 2, 4, 1]),
+    ], ids=["path", "spider", "binary", "random", "parent-array"])
+    def test_depths_match_a_hop_count_walk(self, make):
+        t = make()
+        assert t.depth.dtype == np.int64
+        assert t.depth.tolist() == _hop_count_depths(t)
+
+    def test_cycle_behind_a_tail_rejected(self):
+        # node 4 leads into the cycle 1 -> 2 -> 3 -> 1
+        with pytest.raises(TopologyError, match="cycle"):
+            from_parent_array([-1, 2, 3, 1, 1])
+
+
 class TestQueries:
     def test_path_to_sink(self, small_path):
         assert small_path.path_to_sink(0) == list(range(9))
