@@ -68,8 +68,9 @@ def test_bench_fast_engine_per_step_baseline(benchmark):
 
 
 def test_bench_push_back_cascade(benchmark):
-    """Finite buffers with cascading push-back refusals (the sweep in
-    PathEngine._push_back_sends) under a saturating stream."""
+    """Finite buffers with cascading push-back refusals on a path (the
+    right-to-left sweep of resolve_push_back) under a saturating
+    stream."""
 
     def run():
         engine = PathEngine(512, GreedyPolicy(), FarEndAdversary(),
@@ -190,7 +191,7 @@ def test_bench_simulator_random_2048(benchmark):
 
 def test_bench_tree_engine_push_back(benchmark):
     """TreeEngine finite buffers with cascading push-back refusals
-    (the depth-ordered sweep in TreeEngine._push_back_sends)."""
+    (resolve_push_back over the (depth, id) order)."""
 
     def run():
         engine = TreeEngine(_CATERPILLAR_1026, GreedyPolicy(),
@@ -315,8 +316,8 @@ def test_bench_dag_loop_engine_layered_1025(benchmark):
 
 
 def test_bench_dag_engine_push_back(benchmark):
-    """DagEngine finite buffers with cascading push-back refusals (the
-    receiver-first sweep in DagEngine._push_back_eff)."""
+    """DagEngine finite buffers with cascading push-back refusals
+    (resolve_push_back over the heap-Kahn receiver-first order)."""
     from repro.network.dag_engine import DagEngine
     from repro.policies.dag import DagGreedyPolicy
 

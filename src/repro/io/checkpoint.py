@@ -20,10 +20,14 @@ failure modes of real storage taken seriously:
   mismatches are refused with a named diagnosis rather than restored
   into the wrong kind of engine.
 
-File layout (version 1)::
+File layout (version 2)::
 
     <one JSON header line>\\n
     <pickled snapshot bytes>
+
+Version 2 holds every engine's state as a plain dict; version-1 files,
+whose path, tree and fleet snapshots pickled a dataclass, are refused
+by the version check rather than failing inside ``restore``.
 
 The header is plain JSON so ``head -1 run.ckpt`` is a usable
 inspection tool; the payload is a pickle because snapshots carry live
@@ -56,9 +60,9 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
-#: exactly the fields a version-1 header carries.  Load refuses headers
+#: exactly the fields a header carries.  Load refuses headers
 #: with missing or unknown keys: every header byte is then load-bearing,
 #: so any single-byte corruption of the header is detectable (a flipped
 #: key name cannot silently disable the check it used to name).
@@ -190,8 +194,10 @@ def load_checkpoint(engine: Any, path: str | Path) -> dict[str, Any]:
     ------
     CheckpointError
         On any integrity problem — missing/truncated file, checksum
-        mismatch, unknown schema version, wrong engine class, or a
-        payload that fails to unpickle.  The engine is left untouched
+        mismatch, unknown schema version, wrong engine class, a
+        payload that fails to unpickle, or (from the engine's
+        ``restore``) state that does not fit the engine.  The engine
+        is left untouched
         in every failure case; the payload is only unpickled after its
         checksum verifies.
     """
@@ -246,7 +252,10 @@ def load_checkpoint(engine: Any, path: str | Path) -> dict[str, Any]:
             f"{path}: header claims step {header.get('step')!r} but the "
             f"payload is at step {step} (tampered or rewritten header)"
         )
-    engine.restore(snap)
+    try:
+        engine.restore(snap)
+    except CheckpointError as err:  # state that does not fit the engine
+        raise CheckpointError(f"{path}: {err}") from err
     return header
 
 
@@ -264,6 +273,4 @@ def _snapshot_step(snap: Any) -> int | None:
     inner = snap.get("engine")
     if isinstance(inner, dict) and "step" in inner:
         return int(inner["step"])
-    if hasattr(inner, "step"):
-        return int(inner.step)
     return None

@@ -1,8 +1,11 @@
 """Discrete-step adversarial-queuing substrate (the §2 model).
 
 Topologies, packets, buffers, the reference packet-tracking
-:class:`Simulator`, the vectorised :class:`PathEngine`, metric
-collection, trace recording and after-the-fact trace auditing.
+:class:`Simulator`, one vectorised height kernel that runs as
+:class:`PathEngine`, :class:`TreeEngine` and :class:`DagEngine` (with
+the :class:`DagLoopEngine` reference and the cross-run
+:class:`FleetEngine`), metric collection, trace recording and
+after-the-fact trace auditing.
 """
 
 from .buffers import Buffer, Discipline, Overflow

@@ -1,34 +1,44 @@
-"""Height-only engines for single-sink DAGs (the §6 exploration).
+"""The shared height kernel, and the engines for single-sink DAGs (§6).
 
-Model: the natural extension of §2 — each *edge* carries at most c = 1
-packet per step; a node holding packets may, per step, forward at most
-one packet along *one* of its out-edges (keeping the per-node service
-rate of the path/tree model, so results are comparable); the policy
-chooses the edge.  Decisions are simultaneous on a height snapshot;
-pre-/post-injection timing as in the other engines.
+A directed path is an in-tree and an in-tree is a single-sink DAG of
+out-degree 1, so every vectorised single-run engine runs on one core,
+:class:`_DagEngineCore`.  Each of these mechanisms exists there once:
 
-DAG policies implement :class:`DagPolicy.choose`: given the heights,
-return for every node either the chosen out-neighbour or -1 (hold).
+* finite ``buffer_capacity`` with the three overflow disciplines, the
+  :class:`~repro.network.faults.FaultPlan` hooks and the
+  :class:`~repro.network.metrics.LossLedger` conservation law;
+* the injection mini-step, with pre-/post-injection decision timing;
+* the move-and-overflow :meth:`~_DagEngineCore.step`, whose push-back
+  transfers settle receiver-first in :func:`resolve_push_back` (the hot
+  rows of :class:`~repro.network.fleet_engine.FleetEngine` call it too);
+* the batched :meth:`~_DagEngineCore.run` over
+  :meth:`~repro.adversaries.base.Adversary.inject_schedule`, with a
+  sparse-occupancy loop skeleton and a dense numpy fallback;
+* ``result()``, the invariant asserts and the checkpoint quartet, whose
+  ``restore`` refuses a checkpoint that does not fit the engine.
 
-Two engines share that contract:
+An engine supplies only how it decides, how its packets land, and its
+sparse move rule: :class:`~repro.network.tree_engine.TreeEngine` sends
+``send_counts`` packets to each node's static successor (and
+:class:`~repro.network.engine_fast.PathEngine` is TreeEngine on the
+canonical path); :class:`DagEngine` sends one packet along the out-edge
+its :class:`DagPolicy` chooses per step.
 
-* :class:`DagEngine` — the vectorised production engine, built the way
-  :class:`~repro.network.tree_engine.TreeEngine` was: per-step target
-  masks and scatter-add receives (``np.add.at``), receiver-first
-  finite-buffer resolution in (depth, id) priority-topological order,
-  all three overflow disciplines, fault injection, and a batched
-  :meth:`~DagEngine.run` fast path over
-  :meth:`~repro.adversaries.base.Adversary.inject_schedule` with a
-  sparse-occupancy inner loop and a dense numpy fallback.
-* :class:`DagLoopEngine` — the pinned per-node loop reference the
-  Hypothesis parity suite (``tests/property/test_dag_engine_parity``)
-  compares the vectorised engine against, trajectory for trajectory.
+DAG model: the natural extension of §2 — each *edge* carries at most
+c = 1 packet per step; a node holding packets may, per step, forward at
+most one packet along *one* of its out-edges (keeping the per-node
+service rate of the path/tree model, so results are comparable); the
+policy chooses the edge.  Decisions are simultaneous on a height
+snapshot.  DAG policies implement :class:`DagPolicy.choose`: given the
+heights, return for every node either the chosen out-neighbour or -1
+(hold).  Because that choice is dynamic, the DAG engine has no static
+sender/destination geometry; its scatter targets are the policy's
+per-step choices.
 
-Because decisions pick one *dynamic* out-edge per step, the DAG engine
-has no static sender/destination geometry; the scatter targets are the
-policy's per-step choices.  Everything else — injection mini-step,
-overflow disciplines, the loss-ledger conservation law, checkpoint
-formats — matches the tree engine semantics exactly.
+:class:`DagLoopEngine` is the pinned per-node loop reference the
+Hypothesis parity suite (``tests/property/test_dag_engine_parity``)
+compares :class:`DagEngine` against, trajectory for trajectory; it keeps
+its own step and push-back sweep and never takes the batched path.
 """
 
 from __future__ import annotations
@@ -36,20 +46,20 @@ from __future__ import annotations
 import copy
 import heapq
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable, Literal
 
 import numpy as np
 
 from .buffers import Overflow, coerce_overflow
 from .dag import DagTopology
-from .faults import NO_FAULTS, FaultInjector, FaultPlan
-from .metrics import MetricsBundle
+from .events import StepRecord, TraceRecorder
+from .faults import NO_FAULTS, FaultInjector, FaultPlan, StepFaults
+from .metrics import LossLedger, MetricsBundle
 from .validation import validate_injections
-
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import RunResult
+    from .topology import Topology
 from ..errors import (
     BufferOverflow,
     CheckpointError,
@@ -57,7 +67,29 @@ from ..errors import (
     SimulationError,
 )
 
-__all__ = ["DagPolicy", "DagEngine", "DagLoopEngine"]
+__all__ = [
+    "DagPolicy",
+    "DagEngine",
+    "DagLoopEngine",
+    "check_heights",
+    "check_send_counts",
+    "check_settings",
+    "height_result",
+    "resolve_push_back",
+]
+
+DecisionTiming = Literal["pre_injection", "post_injection"]
+
+#: delay summary of a height-only run: per-packet delays are
+#: unobservable without packet identity, so the summary is the empty
+#: DelayRecorder's NaN shape (shared with FleetEngine)
+_NO_DELAYS = {
+    "count": 0, "mean": float("nan"), "p50": float("nan"),
+    "p95": float("nan"), "p99": float("nan"), "max": float("nan"),
+}
+
+#: ``rule(heights, occupied)`` -> the step's (sender, receiver) moves
+SparseRule = Callable[[list[int], set[int]], list[tuple[int, int]]]
 
 
 class DagPolicy(ABC):
@@ -69,6 +101,10 @@ class DagPolicy(ABC):
     def reset(self, dag: DagTopology) -> None:
         """Hook called once before a run."""
 
+    def observe_injections(self, sites: tuple[int, ...]) -> None:
+        """Called each step with its injection sites; local DAG
+        policies ignore it (the engine skips it in batched runs)."""
+
     @abstractmethod
     def choose(self, heights: np.ndarray, dag: DagTopology) -> np.ndarray:
         """``target[v]`` = out-neighbour to send to, or -1 to hold.
@@ -78,214 +114,143 @@ class DagPolicy(ABC):
         """
 
 
-def _receiver_first_order(dag: DagTopology) -> list[int]:
-    """Push-back settle order: priority-topological by (depth, id).
+def resolve_push_back(
+    heights: np.ndarray,
+    sends: np.ndarray,
+    receivers: np.ndarray,
+    order: np.ndarray,
+    cap: int,
+    sink: int,
+) -> np.ndarray:
+    """Effective sends under :attr:`Overflow.PUSH_BACK`.
 
-    Kahn's algorithm from the sink over reversed edges, always popping
-    the *ready* node (all out-neighbours already settled) with minimal
-    ``(depth, id)``.  On an in-tree every out-neighbour is strictly
-    shallower, so this reduces to plain ascending (depth, id) — exactly
-    TreeEngine's ``_pb_order``.  On a general DAG, ``depth`` alone is
-    not well-founded (an out-edge may point sideways to an equal-depth
-    node, since depth is shortest-hops-to-sink); the topological
-    constraint guarantees every receiver has settled before its sender
-    is swept.  The sink is omitted: it never sends and never refuses.
+    A send into a full buffer is refused and the packet stays with its
+    sender, where it keeps occupying a slot — so refusals cascade away
+    from the sink.  ``receivers[v]`` is where node ``v`` sends (its tree
+    parent, or the out-neighbour a DAG policy chose this step) and
+    ``order`` lists every non-sink node receiver-first: a node settles
+    only after its receiver has settled its own sends and its requeued
+    refusals, and senders sharing a receiver fill its remaining room in
+    ``order`` — on trees ascending ``(depth, id)``, exactly the
+    deterministic order the packet Simulator resolves its ``moving``
+    list in.  The sink never refuses.  When the vectorised pre-check
+    shows no buffer can refuse, ``sends`` is returned unchanged, which
+    keeps the common case as fast as the drop disciplines.
     """
-    n = dag.n
-    rev: list[list[int]] = [[] for _ in range(n)]
-    pending = [0] * n  # out-neighbours not yet settled
-    for v, outs in enumerate(dag.out_edges):
-        pending[v] = len(outs)
-        for u in outs:
-            rev[u].append(v)
-    depth = dag.depth
-    heap: list[tuple[int, int]] = [(0, dag.sink)]
-    order: list[int] = []
-    while heap:
-        _, u = heapq.heappop(heap)
-        order.append(u)
-        for w in rev[u]:
-            pending[w] -= 1
-            if pending[w] == 0:
-                heapq.heappush(heap, (int(depth[w]), w))
-    return [v for v in order if v != dag.sink]
+    # room after each node popped its own sends; refusals put packets
+    # back and shrink it again as the sweep proceeds
+    room = cap - heights + sends
+    incoming = np.zeros_like(room)
+    np.add.at(incoming, receivers[order], sends[order])
+    incoming[sink] = 0  # the sink never fills
+    if (incoming <= np.maximum(room, 0)).all():
+        return sends  # no buffer can refuse: all sends succeed
+    eff = sends.tolist()
+    free = room.tolist()
+    free[sink] = float("inf")  # the sink never refuses
+    to = receivers.tolist()
+    for v in order.tolist():
+        k = eff[v]
+        if k:
+            p = to[v]
+            a = min(k, max(free[p], 0))
+            if a < k:
+                eff[v] = a
+                free[v] -= k - a  # requeued packets occupy slots again
+            free[p] -= a
+    return np.asarray(eff, dtype=sends.dtype)
 
 
-class _DagEngineCore:
-    """State, checkpointing and invariants shared by both DAG engines.
+def check_heights(heights: Any, shape: tuple[int, ...]) -> None:
+    """Refuse checkpoint heights that do not fit an engine.
 
-    Subclasses provide :meth:`step`; everything an orchestrating
-    adversary or the recovery driver touches (checkpoint / snapshot /
-    restore / save / load, the conservation and capacity asserts) lives
-    here so the loop reference and the vectorised engine cannot drift.
+    Raises
+    ------
+    CheckpointError
+        If ``heights`` is not an array of ``shape``, has a non-integer
+        dtype, or has a negative entry — before any state is touched,
+        instead of deferring the failure to an arbitrary later step.
     """
-
-    def __init__(
-        self,
-        dag: DagTopology,
-        policy: DagPolicy,
-        adversary=None,
-        *,
-        decision_timing: str = "pre_injection",
-        injection_limit: int = 1,
-        series_every: int = 0,
-        buffer_capacity: int | None = None,
-        overflow: Overflow | str = Overflow.DROP_TAIL,
-        faults: FaultPlan | FaultInjector | None = None,
-        validate: bool = False,
-    ) -> None:
-        if decision_timing not in ("pre_injection", "post_injection"):
-            raise SimulationError(f"unknown decision timing {decision_timing!r}")
-        self.dag = dag
-        self.policy = policy
-        self.adversary = adversary
-        self.decision_timing = decision_timing
-        self.capacity = 1  # per-node service rate, as on paths/trees
-        self.injection_limit = int(injection_limit)
-        self.buffer_capacity = (
-            None if buffer_capacity is None else int(buffer_capacity)
+    if not isinstance(heights, np.ndarray) or heights.shape != shape:
+        raise CheckpointError(
+            "refusing to restore: checkpoint heights shape "
+            f"{getattr(heights, 'shape', None)} does not match the "
+            f"engine's {shape}"
         )
-        if self.buffer_capacity is not None and self.buffer_capacity < 1:
-            raise SimulationError(
-                f"buffer_capacity must be >= 1 or None, got {buffer_capacity}"
-            )
-        self.overflow = coerce_overflow(overflow)
-        if isinstance(faults, FaultInjector):
-            self.faults: FaultInjector | None = faults
-        elif faults is not None:
-            self.faults = FaultInjector(faults, dag)
-        else:
-            self.faults = None
-        self.validate = validate
-        self._sink = int(dag.sink)
-        self._pb_order = _receiver_first_order(dag)
-        self.heights = np.zeros(dag.n, dtype=np.int64)
-        self.step_index = 0
-        self.metrics = MetricsBundle.for_n(dag.n, series_every)
-        policy.reset(dag)
-        if adversary is not None:
-            # tree-style adversaries need .children/.leaves etc.; DAG
-            # workloads use the duck-typed subset (sink, n, depth)
-            adversary.reset(dag, self.injection_limit)
-
-    # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        return self.dag.n
-
-    @property
-    def sink(self) -> int:
-        return self._sink
-
-    @property
-    def topology(self) -> DagTopology:
-        """Alias so orchestrating adversaries (Theorem 3.1 attack) can
-        drive a DAG engine through the same interface."""
-        return self.dag
-
-    @property
-    def max_height(self) -> int:
-        return self.metrics.max_height
-
-    def step(self, injections: tuple[int, ...] | None = None) -> None:
-        raise NotImplementedError
-
-    def run(self, steps: int) -> "_DagEngineCore":
-        for _ in range(steps):
-            self.step()
-        return self
-
-    def result(self) -> "RunResult":
-        """Summary of the run so far (Simulator-compatible shape).
-
-        Per-packet delays are unobservable in a height-only engine, so
-        ``delay_summary`` is the empty recorder's NaN summary.
-        """
-        # lazy: simulator/engine_fast import the policy package, which
-        # imports this module for DagPolicy — a top-level import cycles
-        from .engine_fast import _NO_DELAYS
-        from .simulator import RunResult
-
-        ledger = self.metrics.ledger
-        return RunResult(
-            steps=self.step_index,
-            max_height=self.metrics.max_height,
-            argmax_node=self.metrics.tracker.argmax_node,
-            argmax_step=self.metrics.tracker.argmax_step,
-            injected=self.metrics.injected,
-            delivered=self.metrics.delivered,
-            in_flight=int(self.heights.sum()),
-            delay_summary=dict(_NO_DELAYS),
-            dropped=ledger.total,
-            drops_by_cause=ledger.by_cause(),
-            drops_by_node=ledger.by_node(),
+    if not np.issubdtype(heights.dtype, np.integer):
+        raise CheckpointError(
+            "refusing to restore: checkpoint heights dtype "
+            f"{heights.dtype} is not an integer type"
+        )
+    if (heights < 0).any():
+        at = [int(i) for i in np.argwhere(heights < 0)[0]]
+        raise CheckpointError(
+            "refusing to restore: checkpoint heights are negative at "
+            f"node {at[-1]}" + (f" of row {at[0]}" if len(at) > 1 else "")
         )
 
-    # checkpointing (for the recursive attack on a DAG spine)
-    def checkpoint(self) -> dict[str, Any]:
-        return {
-            "heights": self.heights.copy(),
-            "step": self.step_index,
-            "metrics": self.metrics.snapshot(),
-            "faults": (
-                self.faults.snapshot() if self.faults is not None else None
-            ),
-        }
 
-    def snapshot(self) -> dict[str, Any]:
-        """Full state for checkpoint/resume across an induced crash.
+def check_settings(
+    decision_timing: str, buffer_capacity: int | None
+) -> int | None:
+    """Validate the decision timing; return the buffer capacity, an
+    int >= 1 or ``None`` for unbounded buffers."""
+    if decision_timing not in ("pre_injection", "post_injection"):
+        raise SimulationError(f"unknown decision timing {decision_timing!r}")
+    if buffer_capacity is not None and int(buffer_capacity) < 1:
+        raise SimulationError(
+            f"buffer_capacity must be >= 1 or None, got {buffer_capacity}"
+        )
+    return None if buffer_capacity is None else int(buffer_capacity)
 
-        Extends :meth:`checkpoint` with deep copies of the policy and
-        adversary, matching the other engines' snapshot contract.
-        """
-        return {
-            "engine": self.checkpoint(),
-            "policy": copy.deepcopy(self.policy),
-            "adversary": copy.deepcopy(self.adversary),
-        }
 
-    def restore(self, cp: dict[str, Any]) -> None:
-        """Roll back to a previous :meth:`checkpoint` / :meth:`snapshot`.
+def check_send_counts(
+    counts: np.ndarray, heights: np.ndarray, capacity: int, sink: int,
+    step: int,
+) -> None:
+    """``validate=True`` checks of ``send_counts`` output (one run or a
+    ``(runs, n)`` fleet matrix): counts within ``[0, capacity]``, no
+    send from an empty buffer, nothing forwarded by the sink."""
+    if counts.min(initial=0) < 0 or counts.max(initial=0) > capacity:
+        raise SimulationError("policy produced an illegal send count")
+    if (counts > heights).any():
+        raise SimulationError("policy sent from an empty buffer")
+    if counts[..., sink].any():
+        raise SimulationError(
+            f"step {step}: the sink (node {sink}) cannot forward packets"
+        )
 
-        Raises
-        ------
-        CheckpointError
-            If the checkpoint's heights do not fit this engine's
-            topology (wrong shape, non-integer dtype, or negative
-            entries) — the same refusal style as the durable-checkpoint
-            loader, instead of deferring the failure to an arbitrary
-            later step.  The engine is untouched on refusal.
-        """
-        if "engine" in cp:  # full snapshot()
-            self.restore(cp["engine"])
-            self.policy = copy.deepcopy(cp["policy"])
-            self.adversary = copy.deepcopy(cp["adversary"])
-            return
-        heights = cp["heights"]
-        if not isinstance(heights, np.ndarray) or heights.shape != (
-            self.dag.n,
-        ):
-            raise CheckpointError(
-                "refusing to restore: checkpoint heights shape "
-                f"{getattr(heights, 'shape', None)} does not match "
-                f"topology n={self.dag.n}"
-            )
-        if not np.issubdtype(heights.dtype, np.integer):
-            raise CheckpointError(
-                "refusing to restore: checkpoint heights dtype "
-                f"{heights.dtype} is not an integer type"
-            )
-        if (heights < 0).any():
-            v = int(np.flatnonzero(heights < 0)[0])
-            raise CheckpointError(
-                f"refusing to restore: checkpoint heights are negative "
-                f"at node {v}"
-            )
-        self.heights = heights.astype(np.int64, copy=True)
-        self.step_index = int(cp["step"])
-        self.metrics.restore(cp["metrics"])
-        if self.faults is not None and cp.get("faults") is not None:
-            self.faults.restore(cp["faults"])
+
+def height_result(
+    steps: int, max_height: int, argmax_node: int, argmax_step: int,
+    injected: int, delivered: int, in_flight: int, ledger: LossLedger,
+) -> "RunResult":
+    """A height-only run's summary, in the Simulator's shape.
+
+    Per-packet delays are unobservable in a height-only engine, so
+    ``delay_summary`` is the empty recorder's NaN summary.
+    """
+    # lazy: the simulator imports the policy package, which imports
+    # this module for DagPolicy — a top-level import cycles
+    from .simulator import RunResult
+
+    return RunResult(
+        steps=int(steps),
+        max_height=int(max_height),
+        argmax_node=int(argmax_node),
+        argmax_step=int(argmax_step),
+        injected=int(injected),
+        delivered=int(delivered),
+        in_flight=int(in_flight),
+        delay_summary=dict(_NO_DELAYS),
+        dropped=ledger.total,
+        drops_by_cause=ledger.by_cause(),
+        drops_by_node=ledger.by_node(),
+    )
+
+
+class _Durable:
+    """Durable checkpoints over ``snapshot()`` / ``restore()``."""
 
     def save_checkpoint(self, path):
         """Persist :meth:`snapshot` to a durable, checksummed file.
@@ -302,59 +267,164 @@ class _DagEngineCore:
 
         Raises :class:`~repro.errors.CheckpointError` (naming the file
         and the diagnosis) on corruption, truncation, schema-version or
-        engine-class mismatch; the engine is untouched on failure.
+        engine-class mismatch, and (from ``restore``) on state that
+        does not fit this engine; the engine is untouched on failure.
         """
         from ..io.checkpoint import load_checkpoint
 
         return load_checkpoint(self, path)
 
-    def assert_capacity(self, heights: np.ndarray | None = None) -> None:
-        """Finite-buffer invariant: no non-sink node above capacity.
 
-        Trivially true with unbounded buffers; under a finite
-        ``buffer_capacity`` every overflow discipline must keep every
-        non-sink height at or below the capacity (the sink consumes
-        instantly and holds nothing).  Same contract as the path, tree,
-        and fleet engines — checked every step under ``validate=True``.
-        """
-        cap = self.buffer_capacity
-        if cap is None:
-            return
-        h = self.heights if heights is None else heights
-        over = np.flatnonzero(h > cap)
-        if over.size:
-            v = int(over[0])
-            raise BufferOverflow(
-                f"step {self.step_index}: node {v} holds {int(h[v])} "
-                f"packets > buffer_capacity {cap}"
-            )
+class _DagEngineCore(_Durable):
+    """The height kernel every vectorised single-run engine runs on
+    (the module docstring lists what it holds once).
 
-    def assert_conservation(self) -> None:
-        """injected == delivered + in flight + dropped (ledger law)."""
-        in_flight = int(self.heights.sum())
-        dropped = self.metrics.ledger.total
-        if self.metrics.injected != (
-            self.metrics.delivered + in_flight + dropped
-        ):
-            raise ConservationViolation(
-                f"conservation broken: {self.metrics.injected} != "
-                f"{self.metrics.delivered} + {in_flight} + {dropped}"
-            )
+    A subclass supplies :meth:`_decide`, :meth:`_move` and optionally
+    :meth:`_sparse_rule`; its constructor may widen the keyword surface
+    (TreeEngine adds ``capacity`` and ``trace``).
+    """
+
+    #: per-node service rate, as on paths/trees (TreeEngine sets c)
+    capacity = 1
+    trace: TraceRecorder | None = None
+    # how many occupied nodes the pure-Python sparse loop tolerates
+    # before handing the remaining steps to the numpy loop: beyond
+    # this, O(occupied·degree) Python work loses to O(n) C work
+    _SPARSE_OCCUPANCY_LIMIT = 256
+
+    def __init__(
+        self,
+        dag: DagTopology | Topology,
+        policy: Any,
+        adversary=None,
+        *,
+        decision_timing: DecisionTiming = "pre_injection",
+        injection_limit: int = 1,
+        series_every: int = 0,
+        buffer_capacity: int | None = None,
+        overflow: Overflow | str = Overflow.DROP_TAIL,
+        faults: FaultPlan | FaultInjector | None = None,
+        validate: bool = False,
+    ) -> None:
+        self.buffer_capacity = check_settings(decision_timing, buffer_capacity)
+        self.topology: Any = dag
+        self.policy = policy
+        self.adversary = adversary
+        self.decision_timing: DecisionTiming = decision_timing
+        self.injection_limit = int(injection_limit)
+        self.overflow = coerce_overflow(overflow)
+        if isinstance(faults, FaultInjector):
+            self.faults: FaultInjector | None = faults
+        elif faults is not None:
+            self.faults = FaultInjector(faults, self.topology)
+        else:
+            self.faults = None
+        self.validate = validate
+        self._sink = int(dag.sink)
+        self._pb_order = self._receiver_first_order()
+        self.heights = np.zeros(dag.n, dtype=np.int64)
+        self.step_index = 0
+        self.metrics = MetricsBundle.for_n(dag.n, series_every)
+        policy.reset(dag)
+        if adversary is not None:
+            # tree-style adversaries need .children/.leaves etc.; DAG
+            # workloads use the duck-typed subset (sink, n, depth)
+            adversary.reset(dag, self.injection_limit)
 
     # ------------------------------------------------------------------
-    def _gather_injections(
-        self, injections: tuple[int, ...] | None, fault
-    ) -> tuple[int, ...]:
-        """Validated injection sites for this step, faults applied."""
+    @property
+    def n(self) -> int:
+        return self.topology.n
+
+    @property
+    def sink(self) -> int:
+        return self._sink
+
+    @property
+    def max_height(self) -> int:
+        return self.metrics.max_height
+
+    def _receiver_first_order(self) -> np.ndarray:
+        """Push-back settle order: priority-topological by (depth, id).
+
+        Kahn's algorithm from the sink over reversed edges, always
+        popping the *ready* node (all out-neighbours already settled)
+        with minimal ``(depth, id)``.  On an in-tree every out-neighbour
+        is strictly shallower, so this reduces to plain ascending
+        (depth, id) — exactly TreeEngine's order.  On a general DAG,
+        ``depth`` alone is not well-founded (an out-edge may point
+        sideways to an equal-depth node, since depth is
+        shortest-hops-to-sink); the topological constraint guarantees
+        every receiver has settled before its sender is swept.  The
+        sink is omitted: it never sends and never refuses.
+        """
+        dag = self.topology
+        rev: list[list[int]] = [[] for _ in range(dag.n)]
+        pending = [0] * dag.n  # out-neighbours not yet settled
+        for v, outs in enumerate(dag.out_edges):
+            pending[v] = len(outs)
+            for u in outs:
+                rev[u].append(v)
+        heap: list[tuple[int, int]] = [(0, dag.sink)]
+        order: list[int] = []
+        while heap:
+            _, u = heapq.heappop(heap)
+            order.append(u)
+            for w in rev[u]:
+                pending[w] -= 1
+                if pending[w] == 0:
+                    heapq.heappush(heap, (int(dag.depth[w]), w))
+        return np.asarray([v for v in order if v != dag.sink], dtype=np.int64)
+
+    def _decide(self, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(sends, receivers)``: packets node ``v`` sends, and where."""
+        raise NotImplementedError
+
+    def _move(
+        self, h: np.ndarray, sends: np.ndarray, receivers: np.ndarray
+    ) -> int:
+        """Apply ``sends`` to ``h`` in place (the sink consumes what
+        reaches it); return the number of packets delivered."""
+        raise NotImplementedError
+
+    def _sparse_rule(self) -> SparseRule | None:
+        """The policy's rule over plain-Python heights, or ``None``."""
+        return None
+
+    # ------------------------------------------------------------------
+    def _begin_step(
+        self, injections: tuple[int, ...] | None
+    ) -> tuple[StepFaults, tuple[int, ...], dict[tuple[int, str], int]]:
+        """Fault hooks and the adversary's turn, before any decision.
+
+        Returns the step's faults, its validated injection sites (wiped
+        buffers emptied, deferred injections released) and the drop
+        tally a trace record reports.  Raises
+        :class:`~repro.errors.FaultError` if the fault plan kills the
+        run at this step, before any state is mutated.
+        """
+        fault = (
+            self.faults.begin_step(self.step_index)
+            if self.faults is not None
+            else NO_FAULTS
+        )
+        h = self.heights
+        drops: dict[tuple[int, str], int] = {}
+        for v in fault.wiped:
+            k = int(h[v])
+            if k:
+                self.metrics.ledger.record(v, "wipe", k)
+                drops[(v, "wipe")] = k
+                h[v] = 0
         if injections is not None:
             batch = validate_injections(
-                injections, self.dag, self.injection_limit,
+                injections, self.topology, self.injection_limit,
                 step=self.step_index,
             )
         elif self.adversary is not None:
             batch = validate_injections(
-                self.adversary.inject(self.step_index, self.heights, self.dag),
-                self.dag,
+                self.adversary.inject(self.step_index, h, self.topology),
+                self.topology,
                 self.injection_limit,
                 step=self.step_index,
             )
@@ -365,55 +435,42 @@ class _DagEngineCore:
                 self.step_index, batch, fault.defer
             )
             batch = ()
-        return fault.released + batch
+        sites = fault.released + batch
+        self.policy.observe_injections(sites)
+        return fault, sites, drops
 
-
-class DagEngine(_DagEngineCore):
-    """Vectorised height-only simulator on a :class:`DagTopology`.
-
-    Semantics are pinned against :class:`DagLoopEngine` by the
-    Hypothesis parity suite: identical height trajectories, delivered
-    counts and loss ledgers across random DAGs, overflow disciplines,
-    fault plans and decision timings, and batched == stepped runs.
-    """
-
-    def _validate_targets(
-        self, targets: np.ndarray, sendable: np.ndarray
+    def _inject(
+        self,
+        sites: tuple[int, ...],
+        fault: StepFaults,
+        drops: dict[tuple[int, str], int],
     ) -> None:
-        """Reject illegal policy output.
-
-        The structural checks (the sink cannot forward; a target must
-        be a real out-edge) are always on — a misroute would silently
-        corrupt the height dynamics.  The documented "nodes with empty
-        buffers must hold" contract is enforced under ``validate=True``
-        only, keeping the hot path free of the extra comparison.
-        """
-        if targets[self._sink] >= 0:
-            raise SimulationError("the sink cannot forward")
-        active = np.flatnonzero(targets >= 0)
-        if not active.size:
+        """The injection mini-step: land ``sites`` on the heights."""
+        h = self.heights
+        cap = self.buffer_capacity
+        if not fault.crashed and cap is None:
+            for s in sites:  # the seed fast path, untouched
+                h[s] += 1
             return
-        pad, mask, _ = self.dag.packed_out_edges()
-        ok = ((pad[active] == targets[active, None]) & mask[active]).any(
-            axis=1
-        )
-        if not ok.all():
-            v = int(active[int(np.flatnonzero(~ok)[0])])
-            raise SimulationError(
-                f"policy chose a non-edge {v}->{int(targets[v])}"
-            )
-        if self.validate:
-            empty = active[~sendable[active]]
-            if empty.size:
-                v = int(empty[0])
-                raise SimulationError(
-                    f"step {self.step_index}: policy chose a target for "
-                    f"node {v} with an empty buffer (nodes with empty "
-                    "buffers must hold)"
-                )
+        for s in sites:
+            if s in fault.crashed:
+                cause = "crash"
+            elif cap is not None and h[s] >= cap:
+                # push-back buffers drop-tail adversary traffic too:
+                # there is no upstream sender to hold the packet
+                cause = "overflow"
+            else:
+                h[s] += 1
+                continue
+            self.metrics.ledger.record(s, cause)
+            drops[(s, cause)] = drops.get((s, cause), 0) + 1
 
     def step(self, injections: tuple[int, ...] | None = None) -> None:
         """Advance one round (injection mini-step, then forwarding).
+
+        ``injections`` overrides the adversary for this step — used by
+        orchestrating adversaries (Theorem 3.1) that drive the engine
+        directly with checkpoints.
 
         Raises
         ------
@@ -421,147 +478,86 @@ class DagEngine(_DagEngineCore):
             If the fault plan kills the run at this step (before any
             state is mutated, so a snapshot-resume is clean).
         """
-        fault = (
-            self.faults.begin_step(self.step_index)
-            if self.faults is not None
-            else NO_FAULTS
-        )
         h = self.heights
-        ledger = self.metrics.ledger
-        for v in fault.wiped:
-            k = int(h[v])
-            if k:
-                ledger.record(v, "wipe", k)
-                h[v] = 0
-        sites = self._gather_injections(injections, fault)
-        cap = self.buffer_capacity
-
-        def apply_injections() -> None:
-            for s in sites:
-                if s in fault.crashed:
-                    ledger.record(s, "crash")
-                elif cap is not None and h[s] >= cap:
-                    # push-back buffers drop-tail adversary traffic too:
-                    # there is no upstream sender to hold the packet
-                    ledger.record(s, "overflow")
-                else:
-                    h[s] += 1
-
+        before = h.copy() if self.trace is not None else None
+        fault, sites, drops = self._begin_step(injections)
         if self.decision_timing == "pre_injection":
-            targets = np.asarray(
-                self.policy.choose(h.copy(), self.dag), dtype=np.int64
-            )
-            sendable = h > 0
-            apply_injections()
+            sends, receivers = self._decide(h)
+            self._inject(sites, fault, drops)
         else:
-            apply_injections()
-            targets = np.asarray(
-                self.policy.choose(h.copy(), self.dag), dtype=np.int64
-            )
-            sendable = h > 0
-        self._validate_targets(targets, sendable)
+            self._inject(sites, fault, drops)
+            sends, receivers = self._decide(h)
         if fault.blocked:
-            targets = targets.copy()
-            targets[list(fault.blocked)] = -1
+            sends = np.array(sends, dtype=np.int64)
+            sends[list(fault.blocked)] = 0
         self.metrics.injected += len(sites)
 
-        eff = (targets >= 0) & sendable
-        if cap is not None and self.overflow is Overflow.PUSH_BACK:
-            eff = self._push_back_eff(h, targets, eff, cap)
-        senders = np.flatnonzero(eff)
-        tgt = targets[senders]
-        to_sink = tgt == self._sink
-        delivered = int(np.count_nonzero(to_sink))
-        h -= eff
-        if cap is None or self.overflow is Overflow.PUSH_BACK:
-            np.add.at(h, tgt[~to_sink], 1)
+        cap = self.buffer_capacity
+        if cap is None:
+            delivered = self._move(h, sends, receivers)
+        elif self.overflow is Overflow.PUSH_BACK:
+            # a refused packet never leaves its sender, so only the
+            # effective sends move; nothing is dropped here
+            sends = resolve_push_back(
+                h, sends, receivers, self._pb_order, cap, self._sink
+            )
+            delivered = self._move(h, sends, receivers)
         else:
-            # each node's own send frees a slot before arrivals land;
-            # excess arrivals are dropped drop-tail at the receiver
-            incoming = np.zeros_like(h)
-            np.add.at(incoming, tgt[~to_sink], 1)
-            room = cap - h
-            room[self._sink] = np.iinfo(np.int64).max  # never fills
-            admitted = np.minimum(incoming, np.maximum(room, 0))
-            refused = incoming - admitted
-            h += admitted
+            # drop-tail / drop-oldest (same height dynamics): each
+            # node's own sends free space before arrivals land, and
+            # arrivals beyond that room are dropped at the receiver
+            base = h - sends
+            delivered = self._move(h, sends, receivers)
+            incoming = h - base
+            incoming[self._sink] = 0  # the sink never fills
+            refused = incoming - np.minimum(
+                incoming, np.maximum(cap - base, 0)
+            )
             if refused.any():
-                # drop-tail / drop-oldest: same height dynamics
+                h -= refused
                 for v in np.flatnonzero(refused):
-                    ledger.record(int(v), "overflow", int(refused[v]))
-        h[self._sink] = 0
-        if (h < 0).any():
-            raise SimulationError("negative height on a DAG node")
+                    k = int(refused[v])
+                    self.metrics.ledger.record(int(v), "overflow", k)
+                    key = (int(v), "overflow")
+                    drops[key] = drops.get(key, 0) + k
         self.metrics.delivered += delivered
 
         self.step_index += 1
         self.metrics.observe(self.step_index, h)
         if self.validate:
-            self.assert_capacity()
             self.assert_conservation()
-
-    def _push_back_eff(
-        self,
-        h: np.ndarray,
-        targets: np.ndarray,
-        eff: np.ndarray,
-        cap: int,
-    ) -> np.ndarray:
-        """Effective send mask under :attr:`Overflow.PUSH_BACK`.
-
-        A send into a full buffer is refused and the packet stays with
-        its sender, shrinking the sender's own room for arrivals — so
-        refusals cascade away from the sink.  Transfers settle
-        receiver-first in the (depth, id) priority-topological order of
-        :func:`_receiver_first_order` (the sink never refuses).  When
-        the vectorised pre-check shows no buffer can refuse, ``eff`` is
-        returned unchanged, keeping the common case as fast as the drop
-        disciplines.
-        """
-        sends = eff.astype(np.int64)
-        senders = np.flatnonzero(eff)
-        tgt = targets[senders]
-        nonsink = tgt != self._sink
-        incoming = np.zeros_like(h)
-        np.add.at(incoming, tgt[nonsink], 1)
-        room = cap - (h - sends)
-        room[self._sink] = np.iinfo(np.int64).max
-        if (incoming <= np.maximum(room, 0)).all():
-            return eff  # no buffer can refuse: all sends succeed
-        # room after each node popped its own send; refusals put the
-        # packet back and shrink it again as the sweep proceeds
-        eff_l = eff.tolist()
-        t_l = targets.tolist()
-        room_l = (cap - h + sends).tolist()
-        sink = self._sink
-        for v in self._pb_order:
-            if not eff_l[v]:
-                continue
-            t = t_l[v]
-            if t == sink:
-                continue  # the sink always admits
-            if room_l[t] >= 1:
-                room_l[t] -= 1
-            else:
-                eff_l[v] = False
-                room_l[v] -= 1  # the requeued packet occupies its slot
-        return np.asarray(eff_l, dtype=bool)
+        if self.trace is not None:
+            self.trace.append(
+                StepRecord(
+                    step=self.step_index - 1,
+                    heights_before=before,
+                    injections=sites,
+                    sends=sends.copy(),
+                    heights_after=h.copy(),
+                    delivered=delivered,
+                    dropped=sum(drops.values()),
+                    drops=tuple(
+                        (node, cause, k)
+                        for (node, cause), k in sorted(drops.items())
+                    ),
+                )
+            )
 
     # ------------------------------------------------------------------
-    def run(self, steps: int) -> "DagEngine":
+    def run(self, steps: int) -> "_DagEngineCore":
         """Advance ``steps`` rounds; returns self for chaining.
 
         When the adversary publishes its injection schedule up front
         (:meth:`~repro.adversaries.base.Adversary.inject_schedule`) and
-        no per-step instrumentation is active (fault plan, validation,
-        finite buffers), the rounds run through a batched inner loop
-        that skips per-step adversary dispatch and rate re-validation —
-        bit-identical to stepping (pinned by tests), purely a
-        throughput optimisation.
+        no per-step instrumentation is active (fault plan, trace,
+        validation, finite buffers), the rounds run through a batched
+        inner loop that skips per-step adversary dispatch and rate
+        re-validation — bit-identical to stepping (pinned by tests),
+        purely a throughput optimisation.
         """
         if steps > 0 and self._batchable():
-            schedule = self.adversary.inject_schedule(  # type: ignore[union-attr]
-                self.step_index, steps, self.dag
+            schedule = self.adversary.inject_schedule(
+                self.step_index, steps, self.topology
             )
             if schedule is not None:
                 return self._run_batched(schedule, steps)
@@ -574,33 +570,38 @@ class DagEngine(_DagEngineCore):
         return (
             self.adversary is not None
             and self.faults is None
+            and self.trace is None
             and not self.validate
             and self.buffer_capacity is None
         )
 
-    def _run_batched(self, schedule, steps: int) -> "DagEngine":
+    def _run_batched(self, schedule, steps: int) -> "_DagEngineCore":
         """The hot loop behind :meth:`run` for precomputed schedules."""
         if len(schedule) != steps:
             raise SimulationError(
                 f"adversary {self.adversary!r} returned "
                 f"{len(schedule)} schedule entries for {steps} steps"
             )
-        from ..policies.dag import DagGreedyPolicy, DagOddEvenPolicy
+        rule = None if self.metrics.series.enabled else self._sparse_rule()
+        if rule is not None:
+            schedule = schedule[self._run_sparse(schedule, rule):]
+        from ..policies.base import ForwardingPolicy
 
-        if (
-            type(self.policy) in (DagOddEvenPolicy, DagGreedyPolicy)
-            and not self.metrics.series.enabled
-        ):
-            done = self._run_sparse_dag(schedule, steps)
-            if done == steps:
-                return self
-            schedule = schedule[done:]
-            steps -= done
         h = self.heights
-        dag = self.dag
-        sink = self._sink
+        topo = self.topology
         pre = self.decision_timing == "pre_injection"
-        choose = self.policy.choose
+        decide = self._decide
+        move = self._move
+        # the base observe_injections is a documented no-op: skip the
+        # per-step call unless the policy actually overrides it
+        observe_injections = (
+            None
+            if type(self.policy).observe_injections in (
+                ForwardingPolicy.observe_injections,
+                DagPolicy.observe_injections,
+            )
+            else self.policy.observe_injections
+        )
         tracker = self.metrics.tracker
         per_node_max = tracker.per_node_max
         series = self.metrics.series if self.metrics.series.enabled else None
@@ -613,29 +614,21 @@ class DagEngine(_DagEngineCore):
             sites = canon.get(entry)
             if sites is None:
                 sites = validate_injections(
-                    entry, dag, self.injection_limit, step=self.step_index
+                    entry, topo, self.injection_limit, step=self.step_index
                 )
                 canon[entry] = sites
+            if observe_injections is not None:
+                observe_injections(sites)
             if pre:
-                targets = np.asarray(choose(h, dag), dtype=np.int64)
-                sendable = h > 0
+                sends, receivers = decide(h)
                 for s in sites:
                     h[s] += 1
             else:
                 for s in sites:
                     h[s] += 1
-                targets = np.asarray(choose(h, dag), dtype=np.int64)
-                sendable = h > 0
-            self._validate_targets(targets, sendable)
+                sends, receivers = decide(h)
             injected += len(sites)
-            eff = (targets >= 0) & sendable
-            senders = np.flatnonzero(eff)
-            tgt = targets[senders]
-            to_sink = tgt == sink
-            delivered += int(np.count_nonzero(to_sink))
-            h -= eff
-            np.add.at(h, tgt[~to_sink], 1)
-            h[sink] = 0
+            delivered += move(h, sends, receivers)
             self.step_index += 1
             # inlined MetricsBundle.observe (same semantics, fewer calls)
             np.maximum(per_node_max, h, out=per_node_max)
@@ -650,50 +643,40 @@ class DagEngine(_DagEngineCore):
         self.metrics.delivered += delivered
         return self
 
-    # how many occupied nodes the pure-Python sparse loop tolerates
-    # before handing the remaining steps to the numpy loop: beyond
-    # this, O(occupied·degree) Python work loses to O(n) C work
-    _SPARSE_OCCUPANCY_LIMIT = 256
+    def _run_sparse(self, schedule, rule: SparseRule) -> int:
+        """Sparse inner loop for the bounded policies; returns steps done.
 
-    def _run_sparse_dag(self, schedule, steps: int) -> int:
-        """Sparse inner loop for the built-in policies; returns steps done.
-
-        Under a rate-1 adversary the bounded policies keep the backlog
-        at O(log n) packets, so on a large DAG almost every buffer is
-        empty almost always — the per-step cost of the numpy loop is
-        pure call overhead.  This loop keeps plain-Python mirrors of
-        the heights and the occupied set and does O(occupied · degree)
-        work per step: the (height, depth, id)-argmin edge choice and
-        parity rule are re-implemented exactly (pinned by the
-        batched-run parity tests; DAG decisions are per-node
-        independent, so no sibling arbitration is needed), decisions
-        are taken from the decision-time snapshot before any move
-        lands, and max tracking is incremental — a node can only set a
-        height record in a step that increased it.  Delivered packets
-        are recovered at the end from conservation (no drops are
-        possible here: unbounded buffers, no faults).
+        Under a rate-1 adversary those policies keep the backlog at
+        O(log n) packets, so on a large topology almost every buffer is
+        empty almost always — and the per-step cost of the numpy loop
+        is pure call overhead.  This loop keeps plain-Python mirrors of
+        the heights and the occupied set and does O(occupied) work per
+        step.  ``rule(heights, occupied)`` is the engine's exact
+        re-implementation of its policy (pinned by the batched-run
+        parity tests); it returns the step's ``(sender, receiver)``
+        moves, all decided on the decision-time snapshot before any
+        move lands.  Max tracking is incremental — a node can only set
+        a height record in a step that increased it, so records are
+        detected from the touched nodes alone.  Delivered packets are
+        recovered at the end from conservation (no drops are possible
+        here: unbounded buffers, no faults).
 
         If occupancy ever exceeds :attr:`_SPARSE_OCCUPANCY_LIMIT` the
         loop stops early and reports how many steps it completed; the
         caller finishes the rest in the dense loop.
         """
-        from ..policies.dag import DagOddEvenPolicy
-
         h = self.heights
-        dag = self.dag
+        topo = self.topology
         sink = self._sink
-        out_l = [list(outs) for outs in dag.out_edges]
-        depth_l = dag.depth.tolist()
         hl = h.tolist()
         pre = self.decision_timing == "pre_injection"
-        odd_even = type(self.policy) is DagOddEvenPolicy
         tracker = self.metrics.tracker
         pnm = tracker.per_node_max
         pnm_l = pnm.tolist()
         cur_max = tracker.max_height
         argmax_node = tracker.argmax_node
         argmax_step = tracker.argmax_step
-        occ = {v for v in range(dag.n) if hl[v] > 0 and v != sink}
+        occ = {v for v in range(topo.n) if hl[v] > 0 and v != sink}
         limit = self._SPARSE_OCCUPANCY_LIMIT
         canon: dict[tuple[int, ...], tuple[int, ...]] = {}
         injected = 0
@@ -705,37 +688,14 @@ class DagEngine(_DagEngineCore):
             sites = canon.get(entry)
             if sites is None:
                 sites = validate_injections(
-                    entry, dag, self.injection_limit, step=self.step_index
+                    entry, topo, self.injection_limit, step=self.step_index
                 )
                 canon[entry] = sites
             if not pre:
                 for s in sites:
                     hl[s] += 1
                     occ.add(s)
-            # all decisions from the decision-time snapshot, before any
-            # move is applied (simultaneous choice semantics)
-            moves = []
-            for v in occ:
-                hv = hl[v]
-                best = -1
-                bh = bd = 0
-                for u in out_l[v]:
-                    hu = hl[u]
-                    if best >= 0:
-                        if hu > bh:
-                            continue
-                        if hu == bh:
-                            du = depth_l[u]
-                            if du > bd or (du == bd and u > best):
-                                continue
-                    best = u
-                    bh = hu
-                    bd = depth_l[u]
-                if odd_even:
-                    # odd height: forward iff best <= h; even: strictly
-                    if bh > hv if hv & 1 else bh >= hv:
-                        continue
-                moves.append((v, best))
+            moves = rule(hl, occ)
             if pre:
                 for s in sites:
                     hl[s] += 1
@@ -777,6 +737,227 @@ class DagEngine(_DagEngineCore):
         self.metrics.delivered += injected + in_flight_start - sum(hl)
         return done
 
+    # ------------------------------------------------------------------
+    def result(self) -> "RunResult":
+        """Summary of the run so far (Simulator-compatible shape).
+
+        This is what lets :class:`~repro.network.fleet_engine.FleetEngine`
+        report per-run results uniformly whether a run was vectorised
+        or fell back to a dedicated engine.
+        """
+        m = self.metrics
+        return height_result(
+            self.step_index, m.max_height, m.tracker.argmax_node,
+            m.tracker.argmax_step, m.injected, m.delivered,
+            self.heights.sum(), m.ledger,
+        )
+
+    def assert_capacity(self) -> None:
+        """Finite-buffer invariant: no non-sink node above capacity.
+
+        Trivially true with unbounded buffers; under a finite
+        ``buffer_capacity`` every overflow discipline must keep every
+        non-sink height at or below the capacity (the sink consumes
+        instantly and holds nothing).  Same contract as the fleet
+        engine — checked every step under ``validate=True``.
+        """
+        cap = self.buffer_capacity
+        if cap is None:
+            return
+        over = np.flatnonzero(self.heights > cap)
+        if over.size:
+            v = int(over[0])
+            raise BufferOverflow(
+                f"step {self.step_index}: node {v} holds "
+                f"{int(self.heights[v])} packets > buffer_capacity {cap}"
+            )
+
+    def assert_conservation(self) -> None:
+        """Conservation ledger: injected == delivered + buffered + dropped.
+
+        With unbounded buffers and no faults the dropped term is
+        identically zero and this is the paper's zero-loss invariant.
+        Also re-checks the finite-buffer capacity invariant
+        (:meth:`assert_capacity`) so a ``validate=True`` run catches a
+        height above ``buffer_capacity`` the moment it appears.
+        """
+        self.assert_capacity()
+        in_flight = int(self.heights.sum())
+        ledger = self.metrics.ledger
+        if not ledger.balanced(
+            self.metrics.injected, self.metrics.delivered, in_flight
+        ):
+            raise ConservationViolation(
+                f"step {self.step_index}: injected={self.metrics.injected} "
+                f"!= delivered={self.metrics.delivered} + in_flight="
+                f"{in_flight} + dropped={ledger.total} "
+                f"(drops by cause: {ledger.by_cause()})"
+            )
+
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> dict[str, Any]:
+        """Snapshot engine state (used by the Theorem 3.1 adversary).
+
+        Includes the fault injector's replay state, so a restored
+        scenario re-experiences exactly the faults of the original.
+        Policy/adversary state is *not* captured — use :meth:`snapshot`
+        for full crash-resume fidelity.
+        """
+        return {
+            "heights": self.heights.copy(),
+            "step": self.step_index,
+            "metrics": self.metrics.snapshot(),
+            "faults": (
+                self.faults.snapshot() if self.faults is not None else None
+            ),
+        }
+
+    def snapshot(self) -> dict[str, Any]:
+        """Full state for checkpoint/resume across an induced crash.
+
+        Extends :meth:`checkpoint` with deep copies of the policy and
+        adversary.
+        """
+        return {
+            "engine": self.checkpoint(),
+            "policy": copy.deepcopy(self.policy),
+            "adversary": copy.deepcopy(self.adversary),
+        }
+
+    def restore(self, cp: dict[str, Any]) -> None:
+        """Roll back to a previous :meth:`checkpoint` / :meth:`snapshot`.
+
+        Raises
+        ------
+        CheckpointError
+            If the checkpoint's heights do not fit this engine's
+            topology (wrong shape, non-integer dtype, or negative
+            entries) — the same refusal style as the durable-checkpoint
+            loader, which only compares engine class names.  The engine
+            is untouched on refusal.
+        """
+        if "engine" in cp:  # full snapshot()
+            self.restore(cp["engine"])
+            self.policy = copy.deepcopy(cp["policy"])
+            self.adversary = copy.deepcopy(cp["adversary"])
+            return
+        check_heights(cp["heights"], (self.n,))
+        self.heights = cp["heights"].astype(np.int64, copy=True)
+        self.step_index = int(cp["step"])
+        self.metrics.restore(cp["metrics"])
+        if self.faults is not None and cp.get("faults") is not None:
+            self.faults.restore(cp["faults"])
+
+
+class DagEngine(_DagEngineCore):
+    """Vectorised height-only simulator on a :class:`DagTopology`.
+
+    Semantics are pinned against :class:`DagLoopEngine` by the
+    Hypothesis parity suite: identical height trajectories, delivered
+    counts and loss ledgers across random DAGs, overflow disciplines,
+    fault plans and decision timings, and batched == stepped runs.
+    """
+
+    def _validate_targets(
+        self, targets: np.ndarray, sendable: np.ndarray
+    ) -> None:
+        """Reject illegal policy output.
+
+        The structural checks (the sink cannot forward; a target must
+        be a real out-edge) are always on — a misroute would silently
+        corrupt the height dynamics.  The documented "nodes with empty
+        buffers must hold" contract is enforced under ``validate=True``
+        only, keeping the hot path free of the extra comparison.
+        """
+        if targets[self._sink] >= 0:
+            raise SimulationError("the sink cannot forward")
+        active = np.flatnonzero(targets >= 0)
+        if not active.size:
+            return
+        pad, mask, _ = self.topology.packed_out_edges()
+        ok = ((pad[active] == targets[active, None]) & mask[active]).any(
+            axis=1
+        )
+        if not ok.all():
+            v = int(active[int(np.flatnonzero(~ok)[0])])
+            raise SimulationError(
+                f"policy chose a non-edge {v}->{int(targets[v])}"
+            )
+        if self.validate:
+            empty = active[~sendable[active]]
+            if empty.size:
+                v = int(empty[0])
+                raise SimulationError(
+                    f"step {self.step_index}: policy chose a target for "
+                    f"node {v} with an empty buffer (nodes with empty "
+                    "buffers must hold)"
+                )
+
+    def _decide(self, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        targets = np.asarray(
+            self.policy.choose(heights.copy(), self.topology), dtype=np.int64
+        )
+        sendable = heights > 0
+        self._validate_targets(targets, sendable)
+        # an empty node's target is silently a hold outside validate
+        return ((targets >= 0) & sendable).astype(np.int64), targets
+
+    def _move(
+        self, h: np.ndarray, sends: np.ndarray, receivers: np.ndarray
+    ) -> int:
+        senders = np.flatnonzero(sends)
+        tgt = receivers[senders]
+        to_sink = tgt == self._sink
+        h -= sends
+        np.add.at(h, tgt[~to_sink], 1)
+        h[self._sink] = 0
+        if (h < 0).any():
+            raise SimulationError("negative height on a DAG node")
+        return int(np.count_nonzero(to_sink))
+
+    def _sparse_rule(self) -> SparseRule | None:
+        """The built-in policies' argmin edge choice, over plain lists.
+
+        Each occupied node picks its (height, depth, id)-argmin
+        out-neighbour and, under DAG Odd-Even, the parity rule decides
+        whether it sends; DAG decisions are per-node independent, so no
+        sibling arbitration is needed.  O(occupied · degree) per step.
+        """
+        from ..policies.dag import DagGreedyPolicy, DagOddEvenPolicy
+
+        if type(self.policy) not in (DagOddEvenPolicy, DagGreedyPolicy):
+            return None
+        out_l = [list(outs) for outs in self.topology.out_edges]
+        depth_l = self.topology.depth.tolist()
+        odd_even = type(self.policy) is DagOddEvenPolicy
+
+        def rule(hl: list[int], occ: set[int]) -> list[tuple[int, int]]:
+            moves = []
+            for v in occ:
+                hv = hl[v]
+                best = -1
+                bh = bd = 0
+                for u in out_l[v]:
+                    hu = hl[u]
+                    if best >= 0:
+                        if hu > bh:
+                            continue
+                        if hu == bh:
+                            du = depth_l[u]
+                            if du > bd or (du == bd and u > best):
+                                continue
+                    best = u
+                    bh = hu
+                    bd = depth_l[u]
+                if odd_even:
+                    # odd height: forward iff best <= h; even: strictly
+                    if bh > hv if hv & 1 else bh >= hv:
+                        continue
+                moves.append((v, best))
+            return moves
+
+        return rule
+
 
 class DagLoopEngine(_DagEngineCore):
     """Per-node loop reference for :class:`DagEngine` (pinned).
@@ -784,20 +965,22 @@ class DagLoopEngine(_DagEngineCore):
     The original pure-Python stepper, kept at full feature parity
     (overflow disciplines, faults, validation) as the semantic
     reference the Hypothesis parity suite and the ``dag_sps`` perf
-    telemetry compare the vectorised engine against.  Use
-    :class:`DagEngine` for real workloads.
+    telemetry compare the vectorised engine against.  It shares only
+    the injection mini-step with the kernel; its decisions, push-back
+    sweep and moves are its own.  Use :class:`DagEngine` for real
+    workloads.
     """
 
     def _validate_targets(
         self, targets: np.ndarray, sendable: np.ndarray
     ) -> None:
-        for v in range(self.dag.n):
+        for v in range(self.topology.n):
             t = int(targets[v])
             if t < 0:
                 continue
             if v == self._sink:
                 raise SimulationError("the sink cannot forward")
-            if t not in self.dag.out_edges[v]:
+            if t not in self.topology.out_edges[v]:
                 raise SimulationError(f"policy chose a non-edge {v}->{t}")
             if self.validate and not sendable[v]:
                 raise SimulationError(
@@ -806,38 +989,27 @@ class DagLoopEngine(_DagEngineCore):
                     "buffers must hold)"
                 )
 
+    def run(self, steps: int) -> "_DagEngineCore":
+        """Advance ``steps`` rounds by calling :meth:`step` once each.
+
+        The reference never takes the kernel's batched path: the parity
+        suite compares the two, and ``loop_sps`` times this loop.
+        """
+        for _ in range(steps):
+            self.step()
+        return self
+
     def step(self, injections: tuple[int, ...] | None = None) -> None:
-        fault = (
-            self.faults.begin_step(self.step_index)
-            if self.faults is not None
-            else NO_FAULTS
-        )
+        fault, sites, drops = self._begin_step(injections)
         h = self.heights
-        ledger = self.metrics.ledger
-        for v in fault.wiped:
-            k = int(h[v])
-            if k:
-                ledger.record(v, "wipe", k)
-                h[v] = 0
-        sites = self._gather_injections(injections, fault)
-        cap = self.buffer_capacity
-
-        def apply_injections() -> None:
-            for s in sites:
-                if s in fault.crashed:
-                    ledger.record(s, "crash")
-                elif cap is not None and h[s] >= cap:
-                    ledger.record(s, "overflow")
-                else:
-                    h[s] += 1
-
+        dag = self.topology
         if self.decision_timing == "pre_injection":
-            targets = self.policy.choose(h.copy(), self.dag)
+            targets = self.policy.choose(h.copy(), dag)
             sendable = h > 0
-            apply_injections()
+            self._inject(sites, fault, drops)
         else:
-            apply_injections()
-            targets = self.policy.choose(h.copy(), self.dag)
+            self._inject(sites, fault, drops)
+            targets = self.policy.choose(h.copy(), dag)
             sendable = h > 0
         self._validate_targets(targets, sendable)
         if fault.blocked:
@@ -847,18 +1019,19 @@ class DagLoopEngine(_DagEngineCore):
 
         moves = [
             (v, int(targets[v]))
-            for v in range(self.dag.n)
+            for v in range(dag.n)
             if targets[v] >= 0 and sendable[v]
         ]
         sink = self._sink
+        cap = self.buffer_capacity
         delivered = 0
         if cap is not None and self.overflow is Overflow.PUSH_BACK:
-            # receiver-first sweep, same arithmetic as the vectorised
-            # engine's _push_back_eff
+            # receiver-first sweep, same arithmetic as the kernel's
+            # resolve_push_back
             intended = dict(moves)
             room = [
                 (cap - int(h[v])) + (1 if v in intended else 0)
-                for v in range(self.dag.n)
+                for v in range(dag.n)
             ]
             effective = []
             for v in self._pb_order:
@@ -873,7 +1046,7 @@ class DagLoopEngine(_DagEngineCore):
                 else:
                     room[v] -= 1
             moves = effective
-        recv = np.zeros(self.dag.n, dtype=np.int64)
+        recv = np.zeros(dag.n, dtype=np.int64)
         for v, t in moves:
             h[v] -= 1
             if t == sink:
@@ -891,7 +1064,9 @@ class DagLoopEngine(_DagEngineCore):
             refused = recv - admitted
             h += admitted
             for v in np.flatnonzero(refused):
-                ledger.record(int(v), "overflow", int(refused[v]))
+                self.metrics.ledger.record(
+                    int(v), "overflow", int(refused[v])
+                )
         h[sink] = 0
         if (h < 0).any():
             raise SimulationError("negative height on a DAG node")
@@ -900,5 +1075,4 @@ class DagLoopEngine(_DagEngineCore):
         self.step_index += 1
         self.metrics.observe(self.step_index, h)
         if self.validate:
-            self.assert_capacity()
             self.assert_conservation()

@@ -1,17 +1,19 @@
 """The unified engine contract every simulation backend satisfies.
 
-The repo grew five engines — the packet-tracking
+The repo has five engines — the packet-tracking
 :class:`~repro.network.simulator.Simulator` (semantic reference), the
 vectorised :class:`~repro.network.engine_fast.PathEngine`,
 :class:`~repro.network.tree_engine.TreeEngine` and
-:class:`~repro.network.dag_engine.DagEngine`, and the cross-run
-:class:`~repro.network.fleet_engine.FleetEngine` — and three consumers
-that drive "any engine": the buffer-provisioning service's shard pool,
-:func:`~repro.network.faults.run_with_recovery`, and the durable
-checkpoint layer.  This module writes the contract those consumers rely
-on down as :class:`typing.Protocol` classes (checked structurally, so
-the engines need no common base class and no import cycles appear) and
-provides the :func:`resolve_engine` registry the CLI dispatches over.
+:class:`~repro.network.dag_engine.DagEngine` (one height kernel,
+``dag_engine._DagEngineCore``, on a path, a tree and a DAG), and the
+cross-run :class:`~repro.network.fleet_engine.FleetEngine` — and three
+consumers that drive "any engine": the buffer-provisioning service's
+shard pool, :func:`~repro.network.faults.run_with_recovery`, and the
+durable checkpoint layer.  This module writes the contract those
+consumers rely on down as :class:`typing.Protocol` classes (checked
+structurally, so the Simulator and FleetEngine need no common base
+with the kernel and no import cycles appear) and provides the
+:func:`resolve_engine` registry the CLI dispatches over.
 
 Two facets:
 

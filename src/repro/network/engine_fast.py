@@ -1,62 +1,48 @@
-"""Height-only engines.
+"""Path engines.
 
 :class:`PathEngine` simulates a directed path with pure numpy height
 arithmetic — no packet objects — which is what makes the paper-scale
 sweeps (n up to 2¹⁴–2¹⁶, millions of steps in total) tractable in
-Python.  The packet-tracking :class:`repro.network.simulator.Simulator`
-is the reference implementation; a hypothesis test asserts the two
-produce identical height trajectories.
+Python.  It is :class:`~repro.network.tree_engine.TreeEngine` on the
+canonical path ``path(n)``, where the shared height kernel moves
+packets with a slice shift instead of a scatter-add; the class keeps
+its name because durable checkpoint headers record it, ``--engine
+path`` and the sweeps build it from a node count, and
+:class:`~repro.network.fleet_engine.FleetEngine` builds it for
+canonical-path fallback lanes.  The packet-tracking
+:class:`repro.network.simulator.Simulator` is the reference
+implementation; a hypothesis test asserts the two produce identical
+height trajectories, with finite buffers and fault plans too.
 
 :class:`UndirectedPathEngine` extends the model with a leftwards
 (away-from-sink) link per edge for the Theorem 3.3 experiment.
 
-:class:`PathEngine` also supports the finite-buffer degradation model
-(``buffer_capacity`` + an overflow discipline, losses accounted in the
-:class:`~repro.network.metrics.LossLedger`) and deterministic fault
-injection (:class:`~repro.network.faults.FaultPlan`), entirely with
-height arithmetic; with neither enabled its trajectories are
-bit-identical to the seed engine.
-
 Both engines support :meth:`checkpoint` / :meth:`restore`, which the
 recursive lower-bound adversary of Theorem 3.1 uses to explore its two
-scenarios and keep the denser one, and :meth:`snapshot` — a full-state
-superset used for crash/resume (see
-:func:`repro.network.faults.run_with_recovery`).
+scenarios and keep the denser one.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Any, Literal
+from typing import Any
 
 import numpy as np
 
-from .buffers import Overflow, coerce_overflow
-from .events import StepRecord, TraceRecorder
-from .faults import NO_FAULTS, FaultInjector, FaultPlan
+from .dag_engine import DecisionTiming
 from .metrics import MetricsBundle
 from .topology import Topology, path
+from .tree_engine import TreeEngine
 from .validation import validate_injections
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversaries.base import Adversary
-from ..errors import BufferOverflow, ConservationViolation, SimulationError
+from ..errors import SimulationError
 from ..policies.base import ForwardingPolicy
 from ..policies.undirected import UndirectedPathPolicy
 
 __all__ = ["DecisionTiming", "PathEngine", "UndirectedPathEngine"]
-
-DecisionTiming = Literal["pre_injection", "post_injection"]
-
-#: delay summary of a height-only run: per-packet delays are
-#: unobservable without packet identity, so the summary is the empty
-#: DelayRecorder's NaN shape (shared with TreeEngine and FleetEngine)
-_NO_DELAYS = {
-    "count": 0, "mean": float("nan"), "p50": float("nan"),
-    "p95": float("nan"), "p99": float("nan"), "max": float("nan"),
-}
 
 
 @dataclass
@@ -67,502 +53,28 @@ class _Checkpoint:
     faults: dict[str, Any] | None = None
 
 
-class PathEngine:
-    """Vectorised directed-path engine (heights only).
+class PathEngine(TreeEngine):
+    """Vectorised directed-path engine (heights only): TreeEngine on
+    ``path(n)``.
 
-    Parameters
-    ----------
-    n:
-        Number of nodes including the sink; positions are ordered from
-        the far end (0) to the sink (n-1), matching
-        :func:`repro.network.topology.path`.
-    policy:
-        Any :class:`ForwardingPolicy`; pairwise policies are evaluated
-        through their vectorised rule.
-    adversary:
-        Traffic source; may be ``None`` for drain-only runs.
-    capacity:
-        Link capacity = injection rate ``c`` (§2).
-    decision_timing:
-        ``"pre_injection"`` computes forwarding decisions from the
-        start-of-step configuration (the semantics analysed by the
-        paper's proof, see DESIGN.md §3); ``"post_injection"`` lets
-        decisions see the freshly injected packets.
-    series_every / trace:
-        Optional time-series sampling stride and full trace recording.
-    buffer_capacity / overflow / faults:
-        The degradation extensions (finite buffers with an overflow
-        discipline; a deterministic fault plan).  All default to off,
-        in which case the engine is bit-identical to the seed.
+    ``n`` is the number of nodes including the sink; positions are
+    ordered from the far end (0) to the sink (n-1), matching
+    :func:`repro.network.topology.path`.  Pairwise policies are
+    evaluated through their vectorised rule.  Every keyword is
+    :class:`TreeEngine`'s (capacity, injection limit, decision timing,
+    finite buffers with an overflow discipline, a fault plan, series
+    sampling, trace recording, validation); with neither finite
+    buffers nor faults enabled the trajectories are bit-identical to
+    the seed engine.
     """
 
     def __init__(
-        self,
-        n: int,
-        policy: ForwardingPolicy,
-        adversary: Adversary | None,
-        *,
-        capacity: int = 1,
-        injection_limit: int | None = None,
-        decision_timing: DecisionTiming = "pre_injection",
-        buffer_capacity: int | None = None,
-        overflow: Overflow | str = Overflow.DROP_TAIL,
-        faults: FaultPlan | FaultInjector | None = None,
-        series_every: int = 0,
-        trace: TraceRecorder | None = None,
-        validate: bool = False,
+        self, n: int, policy: ForwardingPolicy, adversary: Adversary | None,
+        **kwargs: Any,
     ) -> None:
         if n < 2:
             raise SimulationError("a useful path needs at least 2 nodes")
-        if decision_timing not in ("pre_injection", "post_injection"):
-            raise SimulationError(f"unknown decision timing {decision_timing!r}")
-        policy.check_capacity(capacity)
-        self.topology: Topology = path(n)
-        self.policy = policy
-        self.adversary = adversary
-        self.capacity = int(capacity)
-        # the (rho, sigma) model of [21] allows a sigma-burst in one
-        # step, exceeding the link capacity; default is the plain rate-c
-        # adversary of §2.
-        self.injection_limit = int(
-            capacity if injection_limit is None else injection_limit
-        )
-        self.decision_timing: DecisionTiming = decision_timing
-        self.buffer_capacity = (
-            None if buffer_capacity is None else int(buffer_capacity)
-        )
-        if self.buffer_capacity is not None and self.buffer_capacity < 1:
-            raise SimulationError(
-                f"buffer_capacity must be >= 1 or None, got {buffer_capacity}"
-            )
-        self.overflow = coerce_overflow(overflow)
-        if isinstance(faults, FaultInjector):
-            self.faults: FaultInjector | None = faults
-        elif faults is not None:
-            self.faults = FaultInjector(faults, self.topology)
-        else:
-            self.faults = None
-        self.validate = validate
-        self.trace = trace
-        self.heights = np.zeros(n, dtype=np.int64)
-        self.step_index = 0
-        self.metrics = MetricsBundle.for_n(n, series_every)
-        policy.reset(self.topology)
-        if adversary is not None:
-            adversary.reset(self.topology, self.injection_limit)
-
-    # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        return self.topology.n
-
-    @property
-    def sink(self) -> int:
-        return self.topology.sink
-
-    def _decide(self, heights: np.ndarray) -> np.ndarray:
-        counts = self.policy.send_counts(heights, self.topology, self.capacity)
-        if self.validate:
-            if counts.min(initial=0) < 0 or counts.max(initial=0) > self.capacity:
-                raise SimulationError("policy produced an illegal send count")
-            if (counts > heights).any():
-                raise SimulationError("policy sent from an empty buffer")
-        return counts
-
-    def step(self, injections: tuple[int, ...] | None = None) -> None:
-        """Advance one round (injection mini-step, then forwarding).
-
-        ``injections`` overrides the adversary for this step — used by
-        orchestrating adversaries (Theorem 3.1) that drive the engine
-        directly with checkpoints.
-
-        Raises
-        ------
-        FaultError
-            If the fault plan kills the run at this step (before any
-            state is mutated, so a snapshot-resume is clean).
-        """
-        fault = (
-            self.faults.begin_step(self.step_index)
-            if self.faults is not None
-            else NO_FAULTS
-        )
-        h = self.heights
-        before = h.copy() if self.trace is not None else None
-        drops: dict[tuple[int, str], int] = {}
-        ledger = self.metrics.ledger
-        for v in fault.wiped:
-            k = int(h[v])
-            if k:
-                ledger.record(v, "wipe", k)
-                drops[(v, "wipe")] = k
-                h[v] = 0
-
-        if injections is not None:
-            batch = validate_injections(
-                injections, self.topology, self.injection_limit,
-                step=self.step_index,
-            )
-        elif self.adversary is not None:
-            batch = validate_injections(
-                self.adversary.inject(self.step_index, h, self.topology),
-                self.topology,
-                self.injection_limit,
-                step=self.step_index,
-            )
-        else:
-            batch = ()
-        if fault.defer and batch:
-            self.faults.defer_injections(  # type: ignore[union-attr]
-                self.step_index, batch, fault.defer
-            )
-            batch = ()
-        sites = fault.released + batch
-        self.policy.observe_injections(sites)
-
-        cap = self.buffer_capacity
-
-        def apply_injections() -> None:
-            if not fault.crashed and cap is None:
-                for s in sites:  # the seed fast path, untouched
-                    h[s] += 1
-                return
-            for s in sites:
-                if s in fault.crashed:
-                    ledger.record(s, "crash")
-                    drops[(s, "crash")] = drops.get((s, "crash"), 0) + 1
-                elif cap is not None and h[s] >= cap:
-                    # push-back buffers drop-tail adversary traffic too:
-                    # there is no upstream sender to hold the packet
-                    ledger.record(s, "overflow")
-                    drops[(s, "overflow")] = drops.get((s, "overflow"), 0) + 1
-                else:
-                    h[s] += 1
-
-        if self.decision_timing == "pre_injection":
-            counts = self._decide(h)
-            apply_injections()
-        else:
-            apply_injections()
-            counts = self._decide(h)
-        if fault.blocked:
-            counts = counts.copy()
-            counts[list(fault.blocked)] = 0
-
-        self.metrics.injected += len(sites)
-        delivered = int(counts[-2]) if self.n >= 2 else 0
-        sends = counts
-        if cap is None:
-            # simultaneous moves: node i loses counts[i], node i+1 gains
-            h -= counts
-            h[1:] += counts[:-1]
-            h[-1] = 0  # the sink consumes instantly
-        elif self.overflow is Overflow.PUSH_BACK:
-            # a refused packet never leaves its sender, so only the
-            # effective sends move; nothing is dropped here
-            sends = self._push_back_sends(h, counts, cap)
-            delivered = int(sends[-2])
-            h -= sends
-            h[1:] += sends[:-1]
-            h[-1] = 0
-        else:
-            # each node's own sends free space before arrivals land
-            h -= counts
-            incoming = np.zeros_like(counts)
-            incoming[1:] = counts[:-1]
-            room = cap - h
-            room[-1] = np.iinfo(np.int64).max  # the sink never fills
-            admitted = np.minimum(incoming, np.maximum(room, 0))
-            refused = incoming - admitted
-            h += admitted
-            h[-1] = 0
-            if refused.any():
-                # drop-tail / drop-oldest: same height dynamics
-                for v in np.flatnonzero(refused):
-                    k = int(refused[v])
-                    ledger.record(int(v), "overflow", k)
-                    key = (int(v), "overflow")
-                    drops[key] = drops.get(key, 0) + k
-        self.metrics.delivered += delivered
-
-        self.step_index += 1
-        self.metrics.observe(self.step_index, h)
-        if self.validate:
-            self.assert_conservation()
-        if self.trace is not None:
-            self.trace.append(
-                StepRecord(
-                    step=self.step_index - 1,
-                    heights_before=before,
-                    injections=sites,
-                    sends=sends.copy(),
-                    heights_after=h.copy(),
-                    delivered=delivered,
-                    dropped=sum(drops.values()),
-                    drops=tuple(
-                        (node, cause, k)
-                        for (node, cause), k in sorted(drops.items())
-                    ),
-                )
-            )
-
-    def _push_back_sends(
-        self, h: np.ndarray, counts: np.ndarray, cap: int
-    ) -> np.ndarray:
-        """Effective sends under :attr:`Overflow.PUSH_BACK`.
-
-        A send into a full buffer is refused and the packet stays with
-        its sender, where it keeps occupying a slot — so refusals
-        cascade upstream: node ``v``'s room for arrivals depends on how
-        many of its *own* packets node ``v+1`` refused.  The cascade is
-        resolved with a right-to-left sweep (the receiver nearest the
-        sink settles first; the sink itself never refuses).  When no
-        buffer is near capacity the vectorised pre-check shows no
-        refusal is possible and ``counts`` is returned unchanged, which
-        keeps the common case as fast as the drop disciplines.
-        """
-        incoming = np.zeros_like(counts)
-        incoming[1:] = counts[:-1]
-        room = cap - (h - counts)
-        room[-1] = np.iinfo(np.int64).max  # the sink never fills
-        if (incoming <= np.maximum(room, 0)).all():
-            return counts  # no buffer can refuse: all sends succeed
-        eff = counts.copy()
-        # eff[n-2] = counts[n-2] (the sink always accepts); walking
-        # leftwards, node v may send only into v+1's room *after* v+1's
-        # own effective send is settled.
-        for v in range(self.n - 3, -1, -1):
-            allowed = cap - int(h[v + 1]) + int(eff[v + 1])
-            if allowed < eff[v]:
-                eff[v] = max(allowed, 0)
-        return eff
-
-    def run(self, steps: int) -> "PathEngine":
-        """Advance ``steps`` rounds; returns self for chaining.
-
-        When the adversary can publish its injection schedule up front
-        (:meth:`~repro.adversaries.base.Adversary.inject_schedule`) and
-        no per-step instrumentation is active (fault plan, trace,
-        validation, finite buffers), the rounds execute through a
-        batched inner loop that skips the per-step adversary dispatch
-        and rate re-validation.  The batched path is bit-identical to
-        per-step stepping (a parity test pins this); it is purely a
-        throughput optimisation.
-        """
-        if steps > 0 and self._batchable():
-            schedule = self.adversary.inject_schedule(  # type: ignore[union-attr]
-                self.step_index, steps, self.topology
-            )
-            if schedule is not None:
-                return self._run_batched(schedule, steps)
-        for _ in range(steps):
-            self.step()
-        return self
-
-    def _batchable(self) -> bool:
-        """Is the batched inner loop observably identical to step()?"""
-        return (
-            self.adversary is not None
-            and self.faults is None
-            and self.trace is None
-            and not self.validate
-            and self.buffer_capacity is None
-        )
-
-    def _run_batched(self, schedule, steps: int) -> "PathEngine":
-        """The hot loop behind :meth:`run` for precomputed schedules."""
-        if len(schedule) != steps:
-            raise SimulationError(
-                f"adversary {self.adversary!r} returned "
-                f"{len(schedule)} schedule entries for {steps} steps"
-            )
-        h = self.heights
-        topo = self.topology
-        pre = self.decision_timing == "pre_injection"
-        send_counts = self.policy.send_counts
-        capacity = self.capacity
-        # the base observe_injections is a documented no-op: skip the
-        # per-step call unless the policy actually overrides it
-        observe_injections = (
-            None
-            if type(self.policy).observe_injections
-            is ForwardingPolicy.observe_injections
-            else self.policy.observe_injections
-        )
-        tracker = self.metrics.tracker
-        per_node_max = tracker.per_node_max
-        series = self.metrics.series if self.metrics.series.enabled else None
-        # deterministic schedules repeat a handful of distinct batches;
-        # validate each distinct batch once instead of every step
-        canon: dict[tuple[int, ...], tuple[int, ...]] = {}
-        injected = 0
-        delivered = 0
-        for entry in schedule:
-            sites = canon.get(entry)
-            if sites is None:
-                sites = validate_injections(
-                    entry, topo, self.injection_limit, step=self.step_index
-                )
-                canon[entry] = sites
-            if observe_injections is not None:
-                observe_injections(sites)
-            if pre:
-                counts = send_counts(h, topo, capacity)
-                for s in sites:
-                    h[s] += 1
-            else:
-                for s in sites:
-                    h[s] += 1
-                counts = send_counts(h, topo, capacity)
-            injected += len(sites)
-            delivered += int(counts[-2])
-            h -= counts
-            h[1:] += counts[:-1]
-            h[-1] = 0
-            self.step_index += 1
-            # inlined MetricsBundle.observe (same semantics, fewer calls)
-            np.maximum(per_node_max, h, out=per_node_max)
-            m = int(h.max())
-            if m > tracker.max_height:
-                tracker.max_height = m
-                tracker.argmax_node = int(np.argmax(h))
-                tracker.argmax_step = self.step_index
-            if series is not None:
-                series.observe(self.step_index, h)
-        self.metrics.injected += injected
-        self.metrics.delivered += delivered
-        return self
-
-    def result(self):
-        """Summary of the run so far (Simulator-compatible shape).
-
-        Per-packet delays are unobservable in a height-only engine, so
-        ``delay_summary`` is the empty recorder's NaN summary.  This is
-        what lets :class:`~repro.network.fleet_engine.FleetEngine`
-        report per-run results uniformly whether a run was vectorised
-        or fell back to a dedicated :class:`PathEngine`.
-        """
-        from .simulator import RunResult
-
-        ledger = self.metrics.ledger
-        return RunResult(
-            steps=self.step_index,
-            max_height=self.metrics.max_height,
-            argmax_node=self.metrics.tracker.argmax_node,
-            argmax_step=self.metrics.tracker.argmax_step,
-            injected=self.metrics.injected,
-            delivered=self.metrics.delivered,
-            in_flight=int(self.heights.sum()),
-            delay_summary=dict(_NO_DELAYS),
-            dropped=ledger.total,
-            drops_by_cause=ledger.by_cause(),
-            drops_by_node=ledger.by_node(),
-        )
-
-    # ------------------------------------------------------------------
-    def assert_capacity(self) -> None:
-        """Finite-buffer invariant: no non-sink node above capacity.
-
-        Trivially true with unbounded buffers; under a finite
-        ``buffer_capacity`` every overflow discipline must keep every
-        non-sink height at or below the capacity (the sink consumes
-        instantly and holds nothing).
-        """
-        cap = self.buffer_capacity
-        if cap is None:
-            return
-        over = np.flatnonzero(self.heights[:-1] > cap)
-        if over.size:
-            v = int(over[0])
-            raise BufferOverflow(
-                f"step {self.step_index}: node {v} holds "
-                f"{int(self.heights[v])} packets > buffer_capacity {cap}"
-            )
-
-    def assert_conservation(self) -> None:
-        """Conservation ledger: injected == delivered + buffered + dropped.
-
-        With unbounded buffers and no faults the dropped term is
-        identically zero and this is the paper's zero-loss invariant.
-        Also re-checks the finite-buffer capacity invariant
-        (:meth:`assert_capacity`) so a ``validate=True`` run catches a
-        height above ``buffer_capacity`` the moment it appears.
-        """
-        self.assert_capacity()
-        in_flight = int(self.heights.sum())
-        ledger = self.metrics.ledger
-        if not ledger.balanced(
-            self.metrics.injected, self.metrics.delivered, in_flight
-        ):
-            raise ConservationViolation(
-                f"step {self.step_index}: injected={self.metrics.injected} "
-                f"!= delivered={self.metrics.delivered} + in_flight="
-                f"{in_flight} + dropped={ledger.total} "
-                f"(drops by cause: {ledger.by_cause()})"
-            )
-
-    def checkpoint(self) -> _Checkpoint:
-        """Snapshot engine state (used by the Theorem 3.1 adversary).
-
-        Includes the fault injector's replay state, so a restored
-        scenario re-experiences exactly the faults of the original.
-        Policy/adversary state is *not* captured — use :meth:`snapshot`
-        for full crash-resume fidelity.
-        """
-        return _Checkpoint(
-            heights=self.heights.copy(),
-            step=self.step_index,
-            metrics=self.metrics.snapshot(),
-            faults=(
-                self.faults.snapshot() if self.faults is not None else None
-            ),
-        )
-
-    def snapshot(self) -> dict[str, Any]:
-        """Full state for checkpoint/resume across an induced crash."""
-        return {
-            "engine": self.checkpoint(),
-            "policy": copy.deepcopy(self.policy),
-            "adversary": copy.deepcopy(self.adversary),
-        }
-
-    def restore(self, cp: _Checkpoint | dict[str, Any]) -> None:
-        """Roll back to a previous :meth:`checkpoint` / :meth:`snapshot`."""
-        if isinstance(cp, dict):
-            self.policy = copy.deepcopy(cp["policy"])
-            self.adversary = copy.deepcopy(cp["adversary"])
-            self.restore(cp["engine"])
-            return
-        self.heights = cp.heights.copy()
-        self.step_index = cp.step
-        self.metrics.restore(cp.metrics)
-        if self.faults is not None and cp.faults is not None:
-            self.faults.restore(cp.faults)
-
-    def save_checkpoint(self, path):
-        """Persist :meth:`snapshot` to a durable, checksummed file.
-
-        Atomic write (temp + fsync + rename); see
-        :mod:`repro.io.checkpoint` for the format and failure modes.
-        """
-        from ..io.checkpoint import save_checkpoint
-
-        return save_checkpoint(self, path)
-
-    def load_checkpoint(self, path) -> dict[str, Any]:
-        """Restore state saved by :meth:`save_checkpoint`.
-
-        Raises :class:`~repro.errors.CheckpointError` (naming the file
-        and the diagnosis) on corruption, truncation, schema-version or
-        engine-class mismatch; the engine is untouched on failure.
-        """
-        from ..io.checkpoint import load_checkpoint
-
-        return load_checkpoint(self, path)
-
-    @property
-    def max_height(self) -> int:
-        return self.metrics.max_height
+        super().__init__(path(n), policy, adversary, **kwargs)
 
 
 class UndirectedPathEngine:

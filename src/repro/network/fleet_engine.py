@@ -20,13 +20,15 @@ each run is classified:
   fault plan, and its adversary publishes an injection schedule via
   :meth:`~repro.adversaries.base.Adversary.inject_schedule`.  These
   rows live in the height matrix and advance together.  Finite buffers
-  are vectorised too — all three overflow disciplines, including the
-  receiver-first ``(depth, id)`` push-back cascade.
+  are vectorised too — all three overflow disciplines; the rare rows
+  where push-back refuses a transfer settle through the kernel's
+  receiver-first resolver, in ``(depth, id)`` order.
 * **fallback lanes** — adaptive adversaries, fault plans, a policy
   without a fleet rule, or a fleet of one run (a one-row matrix has
   nothing to vectorise across).  Each such run gets its own PathEngine
-  (on the canonical path) or TreeEngine with a deep-copied policy, so
-  the fleet's results are complete either way.  A faulted lane runs
+  (on the canonical path) or TreeEngine with a deep-copied policy —
+  both the shared height kernel of :mod:`repro.network.dag_engine` —
+  so the fleet's results are complete either way.  A faulted lane runs
   under :func:`~repro.network.faults.run_with_recovery`, so it
   survives its ``halt`` events the way a lone engine does.
 
@@ -36,8 +38,9 @@ suite in ``tests/property/test_fleet_parity.py`` pins trajectories,
 delivered counts and loss ledgers).  The established engine contract
 is honoured fleet-wide: per-run :class:`LossLedger` conservation,
 ``assert_capacity`` / ``assert_conservation``, ``checkpoint`` /
-``snapshot`` / ``restore``, and durable ``save_checkpoint`` /
-``load_checkpoint`` through :mod:`repro.io.checkpoint`.
+``snapshot`` / ``restore`` (which refuses a checkpoint that does not
+fit the fleet), and durable ``save_checkpoint`` / ``load_checkpoint``
+through :mod:`repro.io.checkpoint`.
 
 What a fleet does **not** do: per-step traces and sampled series (use
 a dedicated engine for instrumented single runs).
@@ -46,13 +49,21 @@ a dedicated engine for instrumented single runs).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from .buffers import Overflow, coerce_overflow
-from .engine_fast import DecisionTiming, PathEngine, _NO_DELAYS
+from .dag_engine import (
+    DecisionTiming,
+    _Durable,
+    check_heights,
+    check_send_counts,
+    check_settings,
+    height_result,
+    resolve_push_back,
+)
+from .engine_fast import PathEngine
 from .faults import FaultInjector, FaultPlan, run_with_recovery
 from .metrics import LossLedger
 from .simulator import RunResult
@@ -62,7 +73,12 @@ from .validation import validate_injections
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversaries.base import Adversary
-from ..errors import BufferOverflow, ConservationViolation, SimulationError
+from ..errors import (
+    BufferOverflow,
+    CheckpointError,
+    ConservationViolation,
+    SimulationError,
+)
 from ..policies.base import ForwardingPolicy
 
 __all__ = ["FleetEngine"]
@@ -74,21 +90,7 @@ _H_DTYPE = np.int32
 _BIG = np.iinfo(_H_DTYPE).max
 
 
-@dataclass
-class _FleetCheckpoint:
-    heights: np.ndarray
-    step: int
-    per_node_max: np.ndarray
-    max_height: np.ndarray
-    argmax_node: np.ndarray
-    argmax_step: np.ndarray
-    injected: np.ndarray
-    delivered: np.ndarray
-    ledgers: list[dict[str, Any]]
-    lanes: dict[int, Any]
-
-
-class FleetEngine:
+class FleetEngine(_Durable):
     """Advance a whole sweep of runs in lockstep on one height matrix.
 
     Parameters
@@ -133,8 +135,7 @@ class FleetEngine:
     ) -> None:
         if isinstance(topology, (int, np.integer)):
             topology = path(int(topology))
-        if decision_timing not in ("pre_injection", "post_injection"):
-            raise SimulationError(f"unknown decision timing {decision_timing!r}")
+        self.buffer_capacity = check_settings(decision_timing, buffer_capacity)
         adversaries = list(adversaries)
         if not adversaries:
             raise SimulationError("a fleet needs at least one run")
@@ -145,13 +146,6 @@ class FleetEngine:
         self.runs = len(adversaries)
         self.capacity = int(capacity)
         self.decision_timing: DecisionTiming = decision_timing
-        self.buffer_capacity = (
-            None if buffer_capacity is None else int(buffer_capacity)
-        )
-        if self.buffer_capacity is not None and self.buffer_capacity < 1:
-            raise SimulationError(
-                f"buffer_capacity must be >= 1 or None, got {buffer_capacity}"
-            )
         self.overflow = coerce_overflow(overflow)
         self.validate = validate
         self.injection_limits = self._per_run(
@@ -452,18 +446,9 @@ class FleetEngine:
                 f"policy {self.policy.name!r} withdrew its fleet rule"
             )
         if self.validate:
-            if (
-                counts.min(initial=0) < 0
-                or counts.max(initial=0) > self.capacity
-            ):
-                raise SimulationError("policy produced an illegal send count")
-            if (counts > heights).any():
-                raise SimulationError("policy sent from an empty buffer")
-            if counts[:, self._sink].any():
-                raise SimulationError(
-                    f"step {self.step_index}: the sink (node {self._sink}) "
-                    "cannot forward packets"
-                )
+            check_send_counts(
+                counts, heights, self.capacity, self._sink, self.step_index
+            )
         return counts
 
     def _incoming(self, counts: np.ndarray) -> np.ndarray:
@@ -484,9 +469,9 @@ class FleetEngine:
         """Fleet push-back: vector pre-check, per-row cascade when hot.
 
         Rows where no buffer can refuse keep their counts untouched;
-        the rare refusing rows settle through the same receiver-first
-        ``(depth, id)`` sweep TreeEngine uses (which on the canonical
-        path degenerates to PathEngine's right-to-left walk).
+        each rare refusing row settles through
+        :func:`~repro.network.dag_engine.resolve_push_back`, the same
+        receiver-first ``(depth, id)`` sweep the single-run engines use.
         """
         incoming = self._incoming(counts)
         room = cap - (H - counts)
@@ -495,23 +480,11 @@ class FleetEngine:
         if not hot.any():
             return counts
         sends = counts.copy()
-        succ = self.topology.succ
         for i in np.flatnonzero(hot):
-            eff = sends[i]
-            # room after each node popped its own sends; refusals put
-            # packets back and shrink it again as the sweep proceeds
-            room_i = cap - H[i] + counts[i]
-            room_i[self._sink] = _BIG
-            for v in self._pb_order:
-                k = int(eff[v])
-                if k == 0:
-                    continue
-                p = int(succ[v])
-                a = min(k, max(int(room_i[p]), 0))
-                if a < k:
-                    eff[v] = a
-                    room_i[v] -= k - a
-                room_i[p] -= a
+            sends[i] = resolve_push_back(
+                H[i], counts[i], self.topology.succ, self._pb_order, cap,
+                self._sink,
+            )
         return sends
 
     def _run_vec(self, steps: int) -> None:
@@ -625,16 +598,20 @@ class FleetEngine:
                 self._assert_vec_invariants(self.step_index + t + 1)
 
     # ------------------------------------------------------------------
-    def _assert_vec_invariants(self, step: int) -> None:
+    def _assert_vec_capacity(self, step: int) -> None:
         cap = self.buffer_capacity
-        if cap is not None:
-            over = np.argwhere(self._H > cap)
-            if over.size:
-                i, v = (int(x) for x in over[0])
-                raise BufferOverflow(
-                    f"step {step}: run {self._vec_rows[i]} node {v} holds "
-                    f"{int(self._H[i, v])} packets > buffer_capacity {cap}"
-                )
+        if cap is None:
+            return
+        over = np.argwhere(self._H > cap)
+        if over.size:
+            i, v = (int(x) for x in over[0])
+            raise BufferOverflow(
+                f"step {step}: run {self._vec_rows[i]} node {v} holds "
+                f"{int(self._H[i, v])} packets > buffer_capacity {cap}"
+            )
+
+    def _assert_vec_invariants(self, step: int) -> None:
+        self._assert_vec_capacity(step)
         in_flight = self._H.sum(axis=1)
         for i, r in enumerate(self._vec_rows):
             dropped = self._ledgers[i].total
@@ -653,16 +630,7 @@ class FleetEngine:
         """Finite-buffer invariant across every lane of the fleet."""
         for eng in self._engines.values():
             eng.assert_capacity()
-        cap = self.buffer_capacity
-        if cap is None or not self._vec_rows:
-            return
-        over = np.argwhere(self._H > cap)
-        if over.size:
-            i, v = (int(x) for x in over[0])
-            raise BufferOverflow(
-                f"step {self.step_index}: run {self._vec_rows[i]} node {v} "
-                f"holds {int(self._H[i, v])} packets > buffer_capacity {cap}"
-            )
+        self._assert_vec_capacity(self.step_index)
 
     def assert_conservation(self) -> None:
         """Per-run conservation: injected == delivered + in-flight +
@@ -684,19 +652,10 @@ class FleetEngine:
         if eng is not None:
             return eng.result()
         i = self._row_of[run]
-        ledger = self._ledgers[i]
-        return RunResult(
-            steps=self.step_index,
-            max_height=int(self._max_height[i]),
-            argmax_node=int(self._argmax_node[i]),
-            argmax_step=int(self._argmax_step[i]),
-            injected=int(self._injected[i]),
-            delivered=int(self._delivered[i]),
-            in_flight=int(self._H[i].sum()),
-            delay_summary=dict(_NO_DELAYS),
-            dropped=ledger.total,
-            drops_by_cause=ledger.by_cause(),
-            drops_by_node=ledger.by_node(),
+        return height_result(
+            self.step_index, self._max_height[i], self._argmax_node[i],
+            self._argmax_step[i], self._injected[i], self._delivered[i],
+            self._H[i].sum(), self._ledgers[i],
         )
 
     def results(self) -> list[RunResult]:
@@ -704,24 +663,24 @@ class FleetEngine:
         return [self.result(r) for r in range(self.runs)]
 
     # ------------------------------------------------------------------
-    def checkpoint(self) -> _FleetCheckpoint:
+    def checkpoint(self) -> dict[str, Any]:
         """Snapshot fleet state (metrics and fallback lanes included).
 
         Policy/adversary state is *not* captured — use :meth:`snapshot`
         for full crash-resume fidelity, as on the per-run engines.
         """
-        return _FleetCheckpoint(
-            heights=self._H.copy(),
-            step=self.step_index,
-            per_node_max=self._per_node_max.copy(),
-            max_height=self._max_height.copy(),
-            argmax_node=self._argmax_node.copy(),
-            argmax_step=self._argmax_step.copy(),
-            injected=self._injected.copy(),
-            delivered=self._delivered.copy(),
-            ledgers=[led.snapshot() for led in self._ledgers],
-            lanes={r: eng.checkpoint() for r, eng in self._engines.items()},
-        )
+        return {
+            "heights": self._H.copy(),
+            "step": self.step_index,
+            "per_node_max": self._per_node_max.copy(),
+            "max_height": self._max_height.copy(),
+            "argmax_node": self._argmax_node.copy(),
+            "argmax_step": self._argmax_step.copy(),
+            "injected": self._injected.copy(),
+            "delivered": self._delivered.copy(),
+            "ledgers": [led.snapshot() for led in self._ledgers],
+            "lanes": {r: eng.checkpoint() for r, eng in self._engines.items()},
+        }
 
     def snapshot(self) -> dict[str, Any]:
         """Full state for checkpoint/resume across an induced crash."""
@@ -736,47 +695,43 @@ class FleetEngine:
             },
         }
 
-    def restore(self, cp: _FleetCheckpoint | dict[str, Any]) -> None:
-        """Roll back to a previous :meth:`checkpoint` / :meth:`snapshot`."""
-        if isinstance(cp, dict):
+    def restore(self, cp: dict[str, Any]) -> None:
+        """Roll back to a previous :meth:`checkpoint` / :meth:`snapshot`.
+
+        Raises
+        ------
+        CheckpointError
+            If the checkpoint does not fit this fleet: its height
+            matrix is not ``(vectorised lanes, n)`` non-negative
+            integers, or it holds other fallback lanes.  The fleet is
+            untouched on refusal.
+        """
+        fleet_cp = cp.get("engine", cp)
+        check_heights(fleet_cp["heights"], (len(self._vec_rows), self.n))
+        if set(fleet_cp["lanes"]) != set(self._engines):
+            raise CheckpointError(
+                "refusing to restore: checkpoint fallback lanes "
+                f"{sorted(fleet_cp['lanes'])} do not match this fleet's "
+                f"{sorted(self._engines)}"
+            )
+        if "engine" in cp:  # full snapshot()
             self.policy = copy.deepcopy(cp["policy"])
             for i, r in enumerate(self._vec_rows):
                 self.adversaries[r] = copy.deepcopy(cp["adversary"][i])
             for r, snap in cp["lanes"].items():
                 self._engines[r].restore(snap)
                 self.adversaries[r] = self._engines[r].adversary
-            self.restore(cp["engine"])
+            self.restore(fleet_cp)
             return
-        self._H = cp.heights.copy()
-        self.step_index = cp.step
-        self._per_node_max = cp.per_node_max.copy()
-        self._max_height = cp.max_height.copy()
-        self._argmax_node = cp.argmax_node.copy()
-        self._argmax_step = cp.argmax_step.copy()
-        self._injected = cp.injected.copy()
-        self._delivered = cp.delivered.copy()
-        for led, snap in zip(self._ledgers, cp.ledgers):
+        self._H = cp["heights"].astype(_H_DTYPE, copy=True)
+        self.step_index = cp["step"]
+        self._per_node_max = cp["per_node_max"].copy()
+        self._max_height = cp["max_height"].copy()
+        self._argmax_node = cp["argmax_node"].copy()
+        self._argmax_step = cp["argmax_step"].copy()
+        self._injected = cp["injected"].copy()
+        self._delivered = cp["delivered"].copy()
+        for led, snap in zip(self._ledgers, cp["ledgers"]):
             led.restore(snap)
-        for r, lane_cp in cp.lanes.items():
+        for r, lane_cp in cp["lanes"].items():
             self._engines[r].restore(lane_cp)
-
-    def save_checkpoint(self, path):
-        """Persist :meth:`snapshot` to a durable, checksummed file.
-
-        Atomic write (temp + fsync + rename); see
-        :mod:`repro.io.checkpoint` for the format and failure modes.
-        """
-        from ..io.checkpoint import save_checkpoint
-
-        return save_checkpoint(self, path)
-
-    def load_checkpoint(self, path) -> dict[str, Any]:
-        """Restore state saved by :meth:`save_checkpoint`.
-
-        Raises :class:`~repro.errors.CheckpointError` (naming the file
-        and the diagnosis) on corruption, truncation, schema-version or
-        engine-class mismatch; the fleet is untouched on failure.
-        """
-        from ..io.checkpoint import load_checkpoint
-
-        return load_checkpoint(self, path)

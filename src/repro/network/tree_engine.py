@@ -1,83 +1,91 @@
 """Vectorised height-only engine for arbitrary in-trees.
 
-:class:`TreeEngine` is the tree analogue of
-:class:`repro.network.engine_fast.PathEngine`: it simulates single-sink
+:class:`TreeEngine` runs the shared height kernel
+(:class:`~repro.network.dag_engine._DagEngineCore`) on single-sink
 in-trees with pure numpy height arithmetic — parent-pointer and depth
 arrays plus scatter-adds (``np.add.at`` on ``topology.succ``) — instead
 of per-packet objects, which is what lets the tree experiments (E7, E8,
 E14 and the tree branch of E19) sweep into the n ≥ 2¹⁰ regimes where
-logarithmic and polynomial bound shapes actually separate.
+logarithmic and polynomial bound shapes actually separate.  The kernel
+brings finite buffers with all three overflow disciplines, fault plans
+and the loss ledger, the batched :meth:`run`, optional
+:class:`~repro.network.events.TraceRecorder` step records (what the
+tree certifier consumes), ``result()``, the invariant asserts and the
+checkpoint quartet.  What is the tree's own:
+
+* each node sends ``send_counts`` packets (up to the link capacity c)
+  to its static successor, checked under ``validate``;
+* the static sender/receiver arrays and the receiver-first push-back
+  order: senders in ascending depth (their receivers, one hop closer to
+  the sink, settle first, and the sink itself never refuses), siblings
+  sharing a receiver in ascending node id — exactly the deterministic
+  order the Simulator uses, so refusals cascade away from the sink;
+* the slice-shift move on the canonical path
+  (``topology.is_canonical_path``), which is what
+  :class:`~repro.network.engine_fast.PathEngine` runs on;
+* Algorithm 5's sibling-arbitration rule for the sparse loop.
 
 It is at full feature parity with the packet-tracking
 :class:`~repro.network.simulator.Simulator`, which remains the semantic
 reference (a Hypothesis suite pins the two to identical height
-trajectories, delivered counts and loss ledgers on random trees):
-
-* pre/post-injection decision timing;
-* finite ``buffer_capacity`` with all three overflow disciplines —
-  drop-tail, drop-oldest and push-back.  Push-back transfers are
-  resolved *receiver-first*: senders settle in ascending depth (their
-  receivers, one hop closer to the sink, settled one round earlier in
-  the sweep, and the sink itself never refuses), siblings sharing a
-  receiver in ascending node id — exactly the deterministic order the
-  Simulator uses, so refusals cascade away from the sink;
-* :class:`~repro.network.faults.FaultPlan` injection and the
-  :class:`~repro.network.metrics.LossLedger` extended conservation law;
-* ``checkpoint``/``snapshot``/``restore`` (Theorem 3.1 rollbacks and
-  crash/resume via :func:`~repro.network.faults.run_with_recovery`);
-* ``assert_capacity``/``assert_conservation`` online invariants;
-* optional :class:`~repro.network.events.TraceRecorder` step records
-  (what the tree certifier consumes);
-* a batched :meth:`run` fast path over
-  :meth:`~repro.adversaries.base.Adversary.inject_schedule`.
-
-The only Simulator feature that has no height-only counterpart is
+trajectories, delivered counts and loss ledgers on random trees).  The
+only Simulator feature that has no height-only counterpart is
 per-packet observability (delays, provenance, service disciplines) —
 experiment E12 stays on the Simulator for that reason.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .buffers import Overflow, coerce_overflow
-from .engine_fast import DecisionTiming, _NO_DELAYS
-from .events import StepRecord, TraceRecorder
-from .faults import NO_FAULTS, FaultInjector, FaultPlan
-from .metrics import MetricsBundle
-from .simulator import RunResult
+from .buffers import Overflow
+from .dag_engine import (
+    DecisionTiming,
+    SparseRule,
+    _DagEngineCore,
+    check_send_counts,
+)
+from .events import TraceRecorder
+from .faults import FaultInjector, FaultPlan
 from .topology import SINK_SUCC, Topology
-from .validation import validate_injections
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversaries.base import Adversary
-from ..errors import BufferOverflow, ConservationViolation, SimulationError
 from ..policies.base import ForwardingPolicy
 
 __all__ = ["TreeEngine"]
 
 
-@dataclass
-class _Checkpoint:
-    heights: np.ndarray
-    step: int
-    metrics: dict[str, Any]
-    faults: dict[str, Any] | None = None
-
-
-class TreeEngine:
+class TreeEngine(_DagEngineCore):
     """Height-only synchronous engine on an arbitrary in-tree.
 
     Accepts the same ``(topology, policy, adversary)`` triple and the
     same keyword surface as the Simulator, so experiments port by
-    swapping the class name.  ``validate`` defaults to ``False`` (the
-    PathEngine convention for a sweep engine); turn it on to assert the
-    conservation and capacity invariants after every step.
+    swapping the class name.
+
+    Parameters
+    ----------
+    policy / adversary:
+        Any :class:`ForwardingPolicy`, whose ``send_counts`` decides;
+        the adversary may be ``None`` for drain-only runs.
+    capacity:
+        Link capacity = injection rate ``c`` (§2).
+    decision_timing:
+        ``"pre_injection"`` computes forwarding decisions from the
+        start-of-step configuration (the semantics analysed by the
+        paper's proof, see DESIGN.md §3); ``"post_injection"`` lets
+        decisions see the freshly injected packets.
+    series_every / trace:
+        Optional time-series sampling stride and full trace recording.
+    buffer_capacity / overflow / faults:
+        The degradation extensions (finite buffers with an overflow
+        discipline; a deterministic fault plan).  All default to off.
+    validate:
+        Defaults to ``False`` (the convention for a sweep engine); turn
+        it on to assert the conservation and capacity invariants after
+        every step.
     """
 
     def __init__(
@@ -96,428 +104,73 @@ class TreeEngine:
         trace: TraceRecorder | None = None,
         validate: bool = False,
     ) -> None:
-        if decision_timing not in ("pre_injection", "post_injection"):
-            raise SimulationError(f"unknown decision timing {decision_timing!r}")
         policy.check_capacity(capacity)
-        self.topology = topology
-        self.policy = policy
-        self.adversary = adversary
         self.capacity = int(capacity)
-        # the (rho, sigma) model allows one-step bursts above the link
-        # capacity; default is the plain rate-c adversary of §2.
-        self.injection_limit = int(
-            capacity if injection_limit is None else injection_limit
-        )
-        self.decision_timing: DecisionTiming = decision_timing
-        self.buffer_capacity = (
-            None if buffer_capacity is None else int(buffer_capacity)
-        )
-        if self.buffer_capacity is not None and self.buffer_capacity < 1:
-            raise SimulationError(
-                f"buffer_capacity must be >= 1 or None, got {buffer_capacity}"
-            )
-        self.overflow = coerce_overflow(overflow)
-        if isinstance(faults, FaultInjector):
-            self.faults: FaultInjector | None = faults
-        elif faults is not None:
-            self.faults = FaultInjector(faults, topology)
-        else:
-            self.faults = None
-        self.validate = validate
         self.trace = trace
-
-        n = topology.n
-        succ = topology.succ
-        self._sink = int(topology.sink)
         # static scatter geometry: who sends, where it lands, who feeds
-        # the sink, and the receiver-first order push-back resolves in
+        # the sink (the receiver-first order is derived from it)
+        succ = topology.succ
+        self._canonical = topology.is_canonical_path
         self._senders = np.flatnonzero(succ != SINK_SUCC)
         self._dest = succ[self._senders]
-        self._pre_sink = np.flatnonzero(succ == self._sink)
-        self._pb_order = self._senders[
-            np.lexsort((self._senders, topology.depth[self._senders]))
-        ]
-        self.heights = np.zeros(n, dtype=np.int64)
-        self.step_index = 0
-        self.metrics = MetricsBundle.for_n(n, series_every)
-        policy.reset(topology)
-        if adversary is not None:
-            adversary.reset(topology, self.injection_limit)
+        self._pre_sink = np.flatnonzero(succ == topology.sink)
+        super().__init__(
+            topology, policy, adversary, decision_timing=decision_timing,
+            # the (rho, sigma) model allows one-step bursts above the
+            # link capacity; default is the plain rate-c adversary of §2.
+            injection_limit=(
+                capacity if injection_limit is None else injection_limit
+            ),
+            series_every=series_every, buffer_capacity=buffer_capacity,
+            overflow=overflow, faults=faults, validate=validate,
+        )
 
-    # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        return self.topology.n
+    def _receiver_first_order(self) -> np.ndarray:
+        """Push-back settle order: senders in ascending ``(depth, id)``."""
+        depth = self.topology.depth[self._senders]
+        return self._senders[np.lexsort((self._senders, depth))]
 
-    @property
-    def sink(self) -> int:
-        return self._sink
-
-    def _decide(self, heights: np.ndarray) -> np.ndarray:
+    def _decide(self, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         counts = self.policy.send_counts(heights, self.topology, self.capacity)
         if self.validate:
-            if counts.min(initial=0) < 0 or counts.max(initial=0) > self.capacity:
-                raise SimulationError("policy produced an illegal send count")
-            if (counts > heights).any():
-                raise SimulationError("policy sent from an empty buffer")
-            if counts[self._sink]:
-                raise SimulationError(
-                    f"step {self.step_index}: the sink (node {self._sink}) "
-                    "cannot forward packets"
-                )
-        return counts
+            check_send_counts(
+                counts, heights, self.capacity, self._sink, self.step_index
+            )
+        return counts, self.topology.succ
 
-    def step(self, injections: tuple[int, ...] | None = None) -> None:
-        """Advance one round (injection mini-step, then forwarding).
+    def _move(
+        self, h: np.ndarray, sends: np.ndarray, receivers: np.ndarray
+    ) -> int:
+        h -= sends
+        if self._canonical:
+            # path(n): node v sends to v + 1, and a slice shift beats
+            # the scatter-add on this hot path
+            h[1:] += sends[:-1]
+            h[-1] = 0
+            return int(sends[-2])
+        np.add.at(h, self._dest, sends[self._senders])
+        h[self._sink] = 0
+        return int(sends[self._pre_sink].sum())
 
-        ``injections`` overrides the adversary for this step — used by
-        orchestrating adversaries (Theorem 3.1) that drive the engine
-        directly with checkpoints.
+    def _sparse_rule(self) -> SparseRule | None:
+        """Algorithm 5 over plain lists: sibling arbitration.
 
-        Raises
-        ------
-        FaultError
-            If the fault plan kills the run at this step (before any
-            state is mutated, so a snapshot-resume is clean).
+        Among the occupied children of each parent the highest wins
+        (ties broken by the policy's tie rule, identical winners and
+        parity rule to :meth:`TreeOddEvenPolicy.send_mask`), and the
+        winner forwards under the odd/even rule.  Round-robin ties
+        advance the policy's rotation once per step, as ``send_mask``
+        does.
         """
-        fault = (
-            self.faults.begin_step(self.step_index)
-            if self.faults is not None
-            else NO_FAULTS
-        )
-        h = self.heights
-        before = h.copy() if self.trace is not None else None
-        drops: dict[tuple[int, str], int] = {}
-        ledger = self.metrics.ledger
-        for v in fault.wiped:
-            k = int(h[v])
-            if k:
-                ledger.record(v, "wipe", k)
-                drops[(v, "wipe")] = k
-                h[v] = 0
-
-        if injections is not None:
-            batch = validate_injections(
-                injections, self.topology, self.injection_limit,
-                step=self.step_index,
-            )
-        elif self.adversary is not None:
-            batch = validate_injections(
-                self.adversary.inject(self.step_index, h, self.topology),
-                self.topology,
-                self.injection_limit,
-                step=self.step_index,
-            )
-        else:
-            batch = ()
-        if fault.defer and batch:
-            self.faults.defer_injections(  # type: ignore[union-attr]
-                self.step_index, batch, fault.defer
-            )
-            batch = ()
-        sites = fault.released + batch
-        self.policy.observe_injections(sites)
-
-        cap = self.buffer_capacity
-
-        def apply_injections() -> None:
-            if not fault.crashed and cap is None:
-                for s in sites:
-                    h[s] += 1
-                return
-            for s in sites:
-                if s in fault.crashed:
-                    ledger.record(s, "crash")
-                    drops[(s, "crash")] = drops.get((s, "crash"), 0) + 1
-                elif cap is not None and h[s] >= cap:
-                    # push-back buffers drop-tail adversary traffic too:
-                    # there is no upstream sender to hold the packet
-                    ledger.record(s, "overflow")
-                    drops[(s, "overflow")] = drops.get((s, "overflow"), 0) + 1
-                else:
-                    h[s] += 1
-
-        if self.decision_timing == "pre_injection":
-            counts = self._decide(h)
-            apply_injections()
-        else:
-            apply_injections()
-            counts = self._decide(h)
-        if fault.blocked:
-            counts = np.asarray(counts, dtype=np.int64).copy()
-            counts[list(fault.blocked)] = 0
-
-        self.metrics.injected += len(sites)
-        sends = np.asarray(counts, dtype=np.int64)
-        if cap is None:
-            delivered = int(sends[self._pre_sink].sum())
-            h -= sends
-            np.add.at(h, self._dest, sends[self._senders])
-            h[self._sink] = 0
-        elif self.overflow is Overflow.PUSH_BACK:
-            # a refused packet never leaves its sender, so only the
-            # effective sends move; nothing is dropped here
-            sends = self._push_back_sends(h, sends, cap)
-            delivered = int(sends[self._pre_sink].sum())
-            h -= sends
-            np.add.at(h, self._dest, sends[self._senders])
-            h[self._sink] = 0
-        else:
-            # each node's own sends free space before arrivals land
-            delivered = int(sends[self._pre_sink].sum())
-            h -= sends
-            incoming = np.zeros_like(h)
-            np.add.at(incoming, self._dest, sends[self._senders])
-            room = cap - h
-            room[self._sink] = np.iinfo(np.int64).max  # never fills
-            admitted = np.minimum(incoming, np.maximum(room, 0))
-            refused = incoming - admitted
-            h += admitted
-            h[self._sink] = 0
-            if refused.any():
-                # drop-tail / drop-oldest: same height dynamics
-                for v in np.flatnonzero(refused):
-                    k = int(refused[v])
-                    ledger.record(int(v), "overflow", k)
-                    key = (int(v), "overflow")
-                    drops[key] = drops.get(key, 0) + k
-        self.metrics.delivered += delivered
-
-        self.step_index += 1
-        self.metrics.observe(self.step_index, h)
-        if self.validate:
-            self.assert_conservation()
-        if self.trace is not None:
-            self.trace.append(
-                StepRecord(
-                    step=self.step_index - 1,
-                    heights_before=before,
-                    injections=sites,
-                    sends=sends.copy(),
-                    heights_after=h.copy(),
-                    delivered=delivered,
-                    dropped=sum(drops.values()),
-                    drops=tuple(
-                        (node, cause, k)
-                        for (node, cause), k in sorted(drops.items())
-                    ),
-                )
-            )
-
-    def _push_back_sends(
-        self, h: np.ndarray, counts: np.ndarray, cap: int
-    ) -> np.ndarray:
-        """Effective sends under :attr:`Overflow.PUSH_BACK`.
-
-        A send into a full buffer is refused and the packet stays with
-        its sender, shrinking the sender's own room for arrivals — so
-        refusals cascade away from the sink.  Transfers settle
-        receiver-first: senders in ascending ``(depth, id)`` (the
-        receiver, one hop shallower, has already settled its own sends
-        and its requeued refusals; siblings sharing a receiver fill its
-        remaining room in ascending node id).  This is exactly the
-        deterministic order the packet Simulator resolves its ``moving``
-        list in.  When the vectorised pre-check shows no buffer can
-        refuse, ``counts`` is returned unchanged, which keeps the common
-        case as fast as the drop disciplines.
-        """
-        big = np.iinfo(np.int64).max
-        incoming = np.zeros_like(counts)
-        np.add.at(incoming, self._dest, counts[self._senders])
-        room = cap - (h - counts)
-        room[self._sink] = big
-        if (incoming <= np.maximum(room, 0)).all():
-            return counts  # no buffer can refuse: all sends succeed
-        eff = counts.copy()
-        # room after each node popped its own sends; refusals put
-        # packets back and shrink it again as the sweep proceeds
-        room = cap - h + counts
-        room[self._sink] = big
-        succ = self.topology.succ
-        for v in self._pb_order:
-            k = int(eff[v])
-            if k == 0:
-                continue
-            p = int(succ[v])
-            a = min(k, max(int(room[p]), 0))
-            if a < k:
-                eff[v] = a
-                room[v] -= k - a  # requeued packets occupy slots again
-            room[p] -= a
-        return eff
-
-    # ------------------------------------------------------------------
-    def run(self, steps: int) -> "TreeEngine":
-        """Advance ``steps`` rounds; returns self for chaining.
-
-        When the adversary publishes its injection schedule up front
-        (:meth:`~repro.adversaries.base.Adversary.inject_schedule`) and
-        no per-step instrumentation is active (fault plan, trace,
-        validation, finite buffers), the rounds run through a batched
-        inner loop that skips per-step adversary dispatch and rate
-        re-validation — bit-identical to stepping (pinned by tests),
-        purely a throughput optimisation.
-        """
-        if steps > 0 and self._batchable():
-            schedule = self.adversary.inject_schedule(  # type: ignore[union-attr]
-                self.step_index, steps, self.topology
-            )
-            if schedule is not None:
-                return self._run_batched(schedule, steps)
-        for _ in range(steps):
-            self.step()
-        return self
-
-    def _batchable(self) -> bool:
-        """Is the batched inner loop observably identical to step()?"""
-        return (
-            self.adversary is not None
-            and self.faults is None
-            and self.trace is None
-            and not self.validate
-            and self.buffer_capacity is None
-        )
-
-    def _run_batched(self, schedule, steps: int) -> "TreeEngine":
-        """The hot loop behind :meth:`run` for precomputed schedules."""
-        if len(schedule) != steps:
-            raise SimulationError(
-                f"adversary {self.adversary!r} returned "
-                f"{len(schedule)} schedule entries for {steps} steps"
-            )
         from ..policies.tree import TreeOddEvenPolicy
 
-        if (
-            type(self.policy) is TreeOddEvenPolicy
-            and self.capacity == 1
-            and not self.metrics.series.enabled
-        ):
-            done = self._run_sparse_tree(schedule, steps)
-            if done == steps:
-                return self
-            schedule = schedule[done:]
-            steps -= done
-        h = self.heights
-        topo = self.topology
-        pre = self.decision_timing == "pre_injection"
-        send_counts = self.policy.send_counts
-        capacity = self.capacity
-        senders = self._senders
-        dest = self._dest
-        pre_sink = self._pre_sink
-        sink = self._sink
-        # the base observe_injections is a documented no-op: skip the
-        # per-step call unless the policy actually overrides it
-        observe_injections = (
-            None
-            if type(self.policy).observe_injections
-            is ForwardingPolicy.observe_injections
-            else self.policy.observe_injections
-        )
-        tracker = self.metrics.tracker
-        per_node_max = tracker.per_node_max
-        series = self.metrics.series if self.metrics.series.enabled else None
-        # deterministic schedules repeat a handful of distinct batches;
-        # validate each distinct batch once instead of every step
-        canon: dict[tuple[int, ...], tuple[int, ...]] = {}
-        injected = 0
-        delivered = 0
-        for entry in schedule:
-            sites = canon.get(entry)
-            if sites is None:
-                sites = validate_injections(
-                    entry, topo, self.injection_limit, step=self.step_index
-                )
-                canon[entry] = sites
-            if observe_injections is not None:
-                observe_injections(sites)
-            if pre:
-                counts = send_counts(h, topo, capacity)
-                for s in sites:
-                    h[s] += 1
-            else:
-                for s in sites:
-                    h[s] += 1
-                counts = send_counts(h, topo, capacity)
-            injected += len(sites)
-            delivered += int(counts[pre_sink].sum())
-            h -= counts
-            np.add.at(h, dest, counts[senders])
-            h[sink] = 0
-            self.step_index += 1
-            # inlined MetricsBundle.observe (same semantics, fewer calls)
-            np.maximum(per_node_max, h, out=per_node_max)
-            m = int(h.max())
-            if m > tracker.max_height:
-                tracker.max_height = m
-                tracker.argmax_node = int(np.argmax(h))
-                tracker.argmax_step = self.step_index
-            if series is not None:
-                series.observe(self.step_index, h)
-        self.metrics.injected += injected
-        self.metrics.delivered += delivered
-        return self
+        policy = self.policy
+        if type(policy) is not TreeOddEvenPolicy or self.capacity != 1:
+            return None
+        succ_l = self.topology.succ.tolist()
+        tie = policy.tie_rule
 
-    # how many occupied nodes the pure-Python sparse loop tolerates
-    # before handing the remaining steps to the numpy loop: beyond
-    # this, O(occupied) Python work loses to O(n) C work
-    _SPARSE_OCCUPANCY_LIMIT = 256
-
-    def _run_sparse_tree(self, schedule, steps: int) -> int:
-        """Sparse inner loop for Algorithm 5 runs; returns steps done.
-
-        Under a rate-1 adversary the Tree policy keeps the backlog at
-        O(log n) packets, so on a large tree almost every buffer is
-        empty almost always — and the per-step cost of the numpy loop
-        is pure call overhead.  This loop keeps plain-Python mirrors of
-        the heights and the occupied set and does O(occupied) work per
-        step: sibling arbitration (identical winners and parity rule to
-        :meth:`TreeOddEvenPolicy.send_mask`, pinned by the batched-run
-        parity tests), move application, and incremental max tracking —
-        a node can only set a height record in a step that increased
-        it, so records are detected from the touched nodes alone.
-        Delivered packets are recovered at the end from conservation
-        (no drops are possible here: unbounded buffers, no faults).
-
-        If occupancy ever exceeds :attr:`_SPARSE_OCCUPANCY_LIMIT` the
-        loop stops early and reports how many steps it completed; the
-        caller finishes the rest in the dense loop.
-        """
-        h = self.heights
-        topo = self.topology
-        sink = self._sink
-        succ_l = topo.succ.tolist()
-        hl = h.tolist()
-        pre = self.decision_timing == "pre_injection"
-        tie = self.policy.tie_rule
-        rotation = self.policy._rotation
-        round_robin = tie == "round_robin"
-        tracker = self.metrics.tracker
-        pnm = tracker.per_node_max
-        pnm_l = pnm.tolist()
-        cur_max = tracker.max_height
-        argmax_node = tracker.argmax_node
-        argmax_step = tracker.argmax_step
-        occ = {v for v in range(topo.n) if hl[v] > 0 and v != sink}
-        limit = self._SPARSE_OCCUPANCY_LIMIT
-        canon: dict[tuple[int, ...], tuple[int, ...]] = {}
-        injected = 0
-        in_flight_start = sum(hl)
-        done = 0
-        for entry in schedule:
-            if len(occ) > limit:
-                break
-            sites = canon.get(entry)
-            if sites is None:
-                sites = validate_injections(
-                    entry, topo, self.injection_limit, step=self.step_index
-                )
-                canon[entry] = sites
-            if not pre:
-                for s in sites:
-                    hl[s] += 1
-                    occ.add(s)
-            # sibling arbitration from the decision-time snapshot
+        def rule(hl: list[int], occ: set[int]) -> list[tuple[int, int]]:
             cands: dict[int, list[int]] = {}
             besth: dict[int, int] = {}
             for v in occ:
@@ -538,7 +191,7 @@ class TreeEngine:
                     elif tie == "max_id":
                         w = group[-1]
                     else:
-                        w = group[rotation % len(group)]
+                        w = group[policy._rotation % len(group)]
                 else:
                     w = group[0]
                 hw = besth[p]
@@ -546,173 +199,8 @@ class TreeEngine:
                 # odd height: forward iff parent <= h; even: strictly
                 if hp <= hw if hw & 1 else hp < hw:
                     moves.append((w, p))
-            if round_robin:
-                rotation += 1
-            if pre:
-                for s in sites:
-                    hl[s] += 1
-            injected += len(sites)
-            grew = list(sites)
-            for w, p in moves:
-                hl[w] -= 1
-                if p != sink:
-                    hl[p] += 1
-                    grew.append(p)
-            for w, _ in moves:
-                if hl[w] == 0:
-                    occ.discard(w)
-            self.step_index += 1
-            done += 1
-            m = cur_max
-            for v in grew:
-                nv = hl[v]
-                if nv > 0:
-                    occ.add(v)
-                if nv > pnm_l[v]:
-                    pnm_l[v] = nv
-                if nv > m:
-                    m = nv
-            if m > cur_max:
-                # every node at a fresh record grew this step, so the
-                # full-array argmax reduces to the touched nodes
-                cur_max = m
-                argmax_node = min(v for v in grew if hl[v] == m)
-                argmax_step = self.step_index
-        h[:] = hl
-        pnm[:] = pnm_l
-        tracker.max_height = cur_max
-        tracker.argmax_node = argmax_node
-        tracker.argmax_step = argmax_step
-        self.policy._rotation = rotation
-        self.metrics.injected += injected
-        # conservation: nothing can be dropped here, so what was
-        # injected and is no longer buffered was delivered
-        self.metrics.delivered += injected + in_flight_start - sum(hl)
-        return done
+            if tie == "round_robin":
+                policy._rotation += 1
+            return moves
 
-    def result(self) -> RunResult:
-        """Summary of the run so far (Simulator-compatible shape).
-
-        Per-packet delays are unobservable in a height-only engine, so
-        ``delay_summary`` is the empty recorder's NaN summary.
-        """
-        h = self.heights
-        ledger = self.metrics.ledger
-        return RunResult(
-            steps=self.step_index,
-            max_height=self.metrics.max_height,
-            argmax_node=self.metrics.tracker.argmax_node,
-            argmax_step=self.metrics.tracker.argmax_step,
-            injected=self.metrics.injected,
-            delivered=self.metrics.delivered,
-            in_flight=int(h.sum()),
-            delay_summary=dict(_NO_DELAYS),
-            dropped=ledger.total,
-            drops_by_cause=ledger.by_cause(),
-            drops_by_node=ledger.by_node(),
-        )
-
-    # ------------------------------------------------------------------
-    def assert_capacity(self) -> None:
-        """Finite-buffer invariant: no non-sink node above capacity.
-
-        Trivially true with unbounded buffers; under a finite
-        ``buffer_capacity`` every overflow discipline must keep every
-        non-sink height at or below the capacity (the sink consumes
-        instantly and holds nothing).
-        """
-        cap = self.buffer_capacity
-        if cap is None:
-            return
-        over = np.flatnonzero(self.heights > cap)
-        if over.size:
-            v = int(over[0])
-            raise BufferOverflow(
-                f"step {self.step_index}: node {v} holds "
-                f"{int(self.heights[v])} packets > buffer_capacity {cap}"
-            )
-
-    def assert_conservation(self) -> None:
-        """Conservation ledger: injected == delivered + buffered + dropped.
-
-        With unbounded buffers and no faults the dropped term is
-        identically zero and this is the paper's zero-loss invariant.
-        Also re-checks the finite-buffer capacity invariant
-        (:meth:`assert_capacity`).
-        """
-        self.assert_capacity()
-        in_flight = int(self.heights.sum())
-        ledger = self.metrics.ledger
-        if not ledger.balanced(
-            self.metrics.injected, self.metrics.delivered, in_flight
-        ):
-            raise ConservationViolation(
-                f"step {self.step_index}: injected={self.metrics.injected} "
-                f"!= delivered={self.metrics.delivered} + in_flight="
-                f"{in_flight} + dropped={ledger.total} "
-                f"(drops by cause: {ledger.by_cause()})"
-            )
-
-    @property
-    def max_height(self) -> int:
-        return self.metrics.max_height
-
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> _Checkpoint:
-        """Snapshot engine state (used by the Theorem 3.1 adversary).
-
-        Includes the fault injector's replay state, so a restored
-        scenario re-experiences exactly the faults of the original.
-        Policy/adversary state is *not* captured — use :meth:`snapshot`
-        for full crash-resume fidelity.
-        """
-        return _Checkpoint(
-            heights=self.heights.copy(),
-            step=self.step_index,
-            metrics=self.metrics.snapshot(),
-            faults=(
-                self.faults.snapshot() if self.faults is not None else None
-            ),
-        )
-
-    def snapshot(self) -> dict[str, Any]:
-        """Full state for checkpoint/resume across an induced crash."""
-        return {
-            "engine": self.checkpoint(),
-            "policy": copy.deepcopy(self.policy),
-            "adversary": copy.deepcopy(self.adversary),
-        }
-
-    def restore(self, cp: _Checkpoint | dict[str, Any]) -> None:
-        """Roll back to a previous :meth:`checkpoint` / :meth:`snapshot`."""
-        if isinstance(cp, dict):
-            self.policy = copy.deepcopy(cp["policy"])
-            self.adversary = copy.deepcopy(cp["adversary"])
-            self.restore(cp["engine"])
-            return
-        self.heights = cp.heights.copy()
-        self.step_index = cp.step
-        self.metrics.restore(cp.metrics)
-        if self.faults is not None and cp.faults is not None:
-            self.faults.restore(cp.faults)
-
-    def save_checkpoint(self, path):
-        """Persist :meth:`snapshot` to a durable, checksummed file.
-
-        Atomic write (temp + fsync + rename); see
-        :mod:`repro.io.checkpoint` for the format and failure modes.
-        """
-        from ..io.checkpoint import save_checkpoint
-
-        return save_checkpoint(self, path)
-
-    def load_checkpoint(self, path) -> dict[str, Any]:
-        """Restore state saved by :meth:`save_checkpoint`.
-
-        Raises :class:`~repro.errors.CheckpointError` (naming the file
-        and the diagnosis) on corruption, truncation, schema-version or
-        engine-class mismatch; the engine is untouched on failure.
-        """
-        from ..io.checkpoint import load_checkpoint
-
-        return load_checkpoint(self, path)
+        return rule

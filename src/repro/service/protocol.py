@@ -50,6 +50,7 @@ __all__ = [
     "ServiceError",
     "BadRequest",
     "ProvisionQuery",
+    "MAX_TOPOLOGY_NODES",
     "topology_sha",
     "analytic_bound",
     "analytic_answer",
@@ -70,14 +71,46 @@ class BadRequest(ServiceError):
     """The request is malformed; the message names the offending field."""
 
 
+#: the largest topology the service simulates: the biggest n any
+#: experiment preset runs (E2, E3 and E5 at ``full``)
+MAX_TOPOLOGY_NODES = 16_384
+
+
+def _spec_nodes(kind: str, arg: str) -> int:
+    """Node count a spec resolves to, worked out without building it."""
+    if kind == "path":
+        return int(arg or 256)
+    if kind == "random":
+        return int(arg)
+    if kind == "spider":
+        arms, _, length = arg.partition("x")
+        return int(arms) * int(length) + 1
+    if kind == "binary":
+        depth = int(arg)
+        # 2^(D+1) - 1 nodes; a depth past the cap never takes the power
+        if depth > MAX_TOPOLOGY_NODES.bit_length():
+            return MAX_TOPOLOGY_NODES + 1
+        return (1 << (depth + 1)) - 1
+    raise ValueError(f"unknown topology kind {kind!r}")
+
+
 def _resolve_topology(spec: str):
-    """``(succ_list, n, is_path)`` for a topology spec string."""
+    """``(succ_list, n, is_path)`` for a topology spec string.
+
+    The size is checked from the spec before anything is built, so an
+    oversized spec costs the event loop nothing.
+    """
     from ..network import topology as topo
 
     kind, _, arg = str(spec).partition(":")
     try:
+        n = _spec_nodes(kind, arg)
+        if n > MAX_TOPOLOGY_NODES:
+            raise BadRequest(
+                f"topology {spec!r} has more than {MAX_TOPOLOGY_NODES} "
+                "nodes, the most the service simulates"
+            )
         if kind == "path":
-            n = int(arg or 256)
             if n < 2:
                 raise ValueError
             return list(range(1, n)) + [-1], n, True
@@ -86,12 +119,12 @@ def _resolve_topology(spec: str):
             t = topo.spider(int(arms), int(length))
         elif kind == "binary":
             t = topo.balanced_tree(2, int(arg))
-        elif kind == "random":
-            t = topo.random_tree(int(arg), seed=0)
         else:
-            raise ValueError
+            t = topo.random_tree(n, seed=0)
         if t.n < 2:
             raise ValueError
+    except BadRequest:
+        raise
     except (ValueError, TypeError, ReproError) as err:
         raise BadRequest(
             f"bad topology spec {spec!r}; use path:N (N>=2), spider:AxL "

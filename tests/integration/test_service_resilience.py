@@ -270,6 +270,8 @@ class TestBadRequests:
                 # topology specs the builders refuse, or of one node
                 {"topology": "spider:0x3"},
                 {"topology": "binary:0"},
+                # a topology past the size cap, refused before it is built
+                {"topology": "binary:60"},
             ):
                 status, _, body, _ = post(port, raw)
                 assert status == 400, body

@@ -125,3 +125,17 @@ class TestRefusals:
             engine.load_checkpoint(p)
         assert engine.step_index == 5
         assert (engine.heights == before).all()
+
+    def test_checkpoint_of_another_size_is_refused(self, tmp_path):
+        """The header names only the engine class, so a PathEngine(8)
+        file passes every header check on a PathEngine(16); the restore
+        must still refuse it rather than fail at a later step."""
+        small = PathEngine(8, OddEvenPolicy(), FarEndAdversary()).run(10)
+        p = small.save_checkpoint(tmp_path / "small.ckpt")
+        engine = PathEngine(16, OddEvenPolicy(), FarEndAdversary()).run(5)
+        before = engine.heights.copy()
+        with pytest.raises(CheckpointError, match=r"small\.ckpt: .*shape"):
+            engine.load_checkpoint(p)
+        assert engine.step_index == 5
+        assert (engine.heights == before).all()
+        engine.run(5)

@@ -8,6 +8,7 @@ import pytest
 from repro.adversaries import (
     FarEndAdversary,
     RecursiveLowerBoundAttack,
+    ScheduleAdversary,
     UniformRandomAdversary,
 )
 from repro.errors import (
@@ -26,7 +27,8 @@ from repro.network.dag import (
 from repro.network.dag_engine import DagEngine, DagLoopEngine, DagPolicy
 from repro.network.engine_fast import PathEngine
 from repro.network.topology import path, random_tree
-from repro.policies import OddEvenPolicy
+from repro.network.tree_engine import TreeEngine
+from repro.policies import GreedyPolicy, OddEvenPolicy
 from repro.policies.dag import DagGreedyPolicy, DagOddEvenPolicy
 
 
@@ -204,30 +206,66 @@ class TestDagEngine:
         e.restore(cp)
         assert (e.heights == h).all()
 
-    @pytest.mark.parametrize("engine_cls", [DagEngine, DagLoopEngine])
+    # every single-run engine restores through the shared kernel's check
+    RESTORING = [DagEngine, DagLoopEngine, PathEngine, TreeEngine]
+
+    @staticmethod
+    def _fresh(engine_cls):
+        if engine_cls is PathEngine:
+            return PathEngine(6, OddEvenPolicy(), None)
+        if engine_cls is TreeEngine:
+            return TreeEngine(random_tree(7, seed=2), GreedyPolicy(), None)
+        return engine_cls(diamond_grid(2, 3), DagGreedyPolicy(), None)
+
+    @pytest.mark.parametrize("engine_cls", RESTORING)
     def test_restore_rejects_wrong_shape(self, engine_cls):
-        e = engine_cls(diamond_grid(2, 3), DagGreedyPolicy(), None)
+        e = self._fresh(engine_cls)
         cp = e.checkpoint()
         cp["heights"] = np.zeros(e.n + 1, dtype=np.int64)
         with pytest.raises(CheckpointError, match="shape"):
             e.restore(cp)
 
-    @pytest.mark.parametrize("engine_cls", [DagEngine, DagLoopEngine])
+    @pytest.mark.parametrize("engine_cls", RESTORING)
     def test_restore_rejects_non_integer_heights(self, engine_cls):
-        e = engine_cls(diamond_grid(2, 3), DagGreedyPolicy(), None)
+        e = self._fresh(engine_cls)
         cp = e.checkpoint()
         cp["heights"] = np.zeros(e.n, dtype=np.float64)
         with pytest.raises(CheckpointError, match="dtype"):
             e.restore(cp)
 
-    @pytest.mark.parametrize("engine_cls", [DagEngine, DagLoopEngine])
+    @pytest.mark.parametrize("engine_cls", RESTORING)
     def test_restore_rejects_negative_heights(self, engine_cls):
-        e = engine_cls(diamond_grid(2, 3), DagGreedyPolicy(), None)
+        e = self._fresh(engine_cls)
         cp = e.checkpoint()
         cp["heights"] = np.zeros(e.n, dtype=np.int64)
         cp["heights"][2] = -1
         with pytest.raises(CheckpointError, match="negative"):
             e.restore(cp)
+
+    @pytest.mark.parametrize("adversary", [
+        FarEndAdversary(),
+        ScheduleAdversary({0: (1,), 3: (4,), 4: (1,), 9: (12,)}),
+    ])
+    def test_loop_reference_runs_through_its_own_step(
+        self, adversary, monkeypatch
+    ):
+        """The parity suite steps the reference by hand, so it would not
+        notice ``DagLoopEngine.run`` taking the kernel's batched path;
+        pin that run(k) is exactly k calls of the reference's step."""
+        dag = layered_dag(4, 3, 2, seed=1)
+        engine = DagLoopEngine(dag, DagOddEvenPolicy(), adversary)
+        assert adversary.inject_schedule(0, 12, dag) is not None
+        step = DagLoopEngine.step
+        calls = []
+
+        def counted(self, injections=None):
+            calls.append(injections)
+            step(self, injections)
+
+        monkeypatch.setattr(DagLoopEngine, "step", counted)
+        engine.run(12)
+        assert calls == [None] * 12
+        assert engine.step_index == 12
 
     def test_pre_injection_holds_fresh_packet(self):
         dag = from_tree(path(3))

@@ -23,7 +23,7 @@ from repro.adversaries import (
     UniformRandomAdversary,
 )
 from repro.analysis.occupancy import measure_path, worst_case_over_suite
-from repro.errors import SimulationError
+from repro.errors import CheckpointError, SimulationError
 from repro.network.engine_fast import PathEngine
 from repro.network.faults import (
     FaultEvent,
@@ -232,6 +232,24 @@ def test_checkpoint_restore_replays_identically():
     fleet.run(30)
     assert (fleet.heights == want[0]).all()
     assert (fleet.max_heights == want[1]).all()
+
+
+def test_load_checkpoint_of_another_size_is_refused(tmp_path):
+    def build(n):
+        return FleetEngine(
+            n, OddEvenPolicy(),
+            [FarEndAdversary(), SeesawAdversary(),
+             UniformRandomAdversary(p=0.5, seed=3)],
+        )
+
+    path = build(8).run(10).save_checkpoint(tmp_path / "small.ckpt")
+    fleet = build(16).run(5)
+    before = fleet.heights
+    with pytest.raises(CheckpointError, match="shape"):
+        fleet.load_checkpoint(path)
+    assert fleet.step_index == 5
+    assert (fleet.heights == before).all()
+    fleet.run(5)
 
 
 def test_save_load_checkpoint_into_fresh_fleet(tmp_path):

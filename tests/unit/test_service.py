@@ -46,6 +46,7 @@ from repro.service import (
     execute_query,
     topology_sha,
 )
+from repro.service.protocol import MAX_TOPOLOGY_NODES
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -330,10 +331,26 @@ class TestProvisionQueryValidation:
         {"topology": "spider:0x3"},  # TopologyError used to be a 500
         {"topology": "binary:0"},  # one node: nothing to forward
         {"topology": "random:1"},
+        # past MAX_TOPOLOGY_NODES, refused before anything is built
+        {"topology": "path:16385"},
+        {"topology": "binary:14"},
+        {"topology": "binary:60"},
+        {"topology": "spider:200x100"},
+        {"topology": "random:16385"},
     ])
     def test_bad_requests_rejected(self, raw):
         with pytest.raises(BadRequest):
             ProvisionQuery.from_dict(raw)
+
+    @pytest.mark.parametrize("topology, n", [("path:16384", 16384),
+                                             ("binary:13", 16383)])
+    def test_largest_topologies_still_parse(self, topology, n):
+        assert MAX_TOPOLOGY_NODES == 16384
+        assert ProvisionQuery.from_dict({"topology": topology}).n == n
+
+    def test_oversized_topology_names_the_field(self):
+        with pytest.raises(BadRequest, match="topology 'binary:60'"):
+            ProvisionQuery.from_dict({"topology": "binary:60"})
 
     def test_tree_topology_defaults_to_tree_policy(self):
         q = ProvisionQuery.from_dict({"topology": "binary:3"})
