@@ -1,9 +1,11 @@
 """Micro-benchmarks of the simulation substrate itself.
 
 These measure raw throughput (steps/second) of the hot paths that every
-experiment rides on: the vectorised path engine, the packet-tracking
-simulator, the tree policy evaluation, the certifier overhead and the
-recursive attack.  They exist so performance regressions in the
+experiment rides on: the height kernel's path, tree and DAG engines
+(whose dense loop and settle step also carry FleetEngine's vectorised
+lanes, timed by ``repro.runner.perf.fleet_throughput``), the
+packet-tracking simulator, the tree policy evaluation, the certifier
+overhead and the recursive attack.  They exist so performance regressions in the
 substrate are visible independently of the experiment-level timings.
 """
 
@@ -68,9 +70,9 @@ def test_bench_fast_engine_per_step_baseline(benchmark):
 
 
 def test_bench_push_back_cascade(benchmark):
-    """Finite buffers with cascading push-back refusals on a path (the
-    right-to-left sweep of resolve_push_back) under a saturating
-    stream."""
+    """Finite buffers with cascading push-back refusals on a path under
+    a saturating stream: the settle step finds the refusals, then
+    resolve_push_back sweeps right to left."""
 
     def run():
         engine = PathEngine(512, GreedyPolicy(), FarEndAdversary(),
@@ -191,7 +193,8 @@ def test_bench_simulator_random_2048(benchmark):
 
 def test_bench_tree_engine_push_back(benchmark):
     """TreeEngine finite buffers with cascading push-back refusals
-    (resolve_push_back over the (depth, id) order)."""
+    (the settle step, then resolve_push_back over the (depth, id)
+    order)."""
 
     def run():
         engine = TreeEngine(_CATERPILLAR_1026, GreedyPolicy(),
@@ -317,7 +320,8 @@ def test_bench_dag_loop_engine_layered_1025(benchmark):
 
 def test_bench_dag_engine_push_back(benchmark):
     """DagEngine finite buffers with cascading push-back refusals
-    (resolve_push_back over the heap-Kahn receiver-first order)."""
+    (the settle step, then resolve_push_back over the heap-Kahn
+    receiver-first order)."""
     from repro.network.dag_engine import DagEngine
     from repro.policies.dag import DagGreedyPolicy
 

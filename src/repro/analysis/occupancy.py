@@ -125,7 +125,7 @@ def worst_case_over_suite(
     lower envelope of the policy's worst-case buffer requirement.
 
     The whole suite advances in lockstep on one
-    :class:`~repro.network.fleet_engine.FleetEngine` (one ``(runs, n)``
+    :class:`~repro.network.fleet_engine.FleetEngine` (one ``(n, runs)``
     matrix, one set of numpy ops per step); adaptive adversaries fall
     back to dedicated per-run engines inside the fleet, so results are
     bit-identical to measuring each adversary alone — first-listed

@@ -1,21 +1,28 @@
 """The shared height kernel, and the engines for single-sink DAGs (§6).
 
 A directed path is an in-tree and an in-tree is a single-sink DAG of
-out-degree 1, so every vectorised single-run engine runs on one core,
-:class:`_DagEngineCore`.  Each of these mechanisms exists there once:
+out-degree 1, so every vectorised engine runs on one core,
+:class:`_DagEngineCore`.  Its heights are one run's ``(n,)`` vector or
+— for the vectorised lanes of
+:class:`~repro.network.fleet_engine.FleetEngine` — a node-major
+``(n, runs)`` matrix whose column ``r`` is run ``r``; node-indexed
+expressions apply to both unchanged.  Each of these mechanisms exists
+there once:
 
 * finite ``buffer_capacity`` with the three overflow disciplines, the
   :class:`~repro.network.faults.FaultPlan` hooks and the
   :class:`~repro.network.metrics.LossLedger` conservation law;
 * the injection mini-step, with pre-/post-injection decision timing;
-* the move-and-overflow :meth:`~_DagEngineCore.step`, whose push-back
-  transfers settle receiver-first in :func:`resolve_push_back` (the hot
-  rows of :class:`~repro.network.fleet_engine.FleetEngine` call it too);
+* the settle step behind :meth:`~_DagEngineCore.step` and the dense
+  loop: move, then find refusals once; push-back transfers settle
+  receiver-first in :func:`resolve_push_back`, for refusing runs only;
 * the batched :meth:`~_DagEngineCore.run` over
-  :meth:`~repro.adversaries.base.Adversary.inject_schedule`, with a
-  sparse-occupancy loop skeleton and a dense numpy fallback;
-* ``result()``, the invariant asserts and the checkpoint quartet, whose
-  ``restore`` refuses a checkpoint that does not fit the engine.
+  :meth:`~repro.adversaries.base.Adversary.inject_schedule`: one
+  schedule flattener, a sparse-occupancy loop skeleton and one dense
+  numpy loop, whose per-run records serve one run and a fleet alike;
+* ``result()``, one capacity and conservation check, and the checkpoint
+  quartet, whose ``restore`` refuses a checkpoint that does not fit the
+  engine.
 
 An engine supplies only how it decides, how its packets land, and its
 sparse move rule: :class:`~repro.network.tree_engine.TreeEngine` sends
@@ -46,7 +53,7 @@ from __future__ import annotations
 import copy
 import heapq
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, Literal
+from typing import TYPE_CHECKING, Any, Callable, Literal, Sequence
 
 import numpy as np
 
@@ -74,7 +81,6 @@ __all__ = [
     "check_heights",
     "check_send_counts",
     "check_settings",
-    "height_result",
     "resolve_push_back",
 ]
 
@@ -82,11 +88,15 @@ DecisionTiming = Literal["pre_injection", "post_injection"]
 
 #: delay summary of a height-only run: per-packet delays are
 #: unobservable without packet identity, so the summary is the empty
-#: DelayRecorder's NaN shape (shared with FleetEngine)
+#: DelayRecorder's NaN shape
 _NO_DELAYS = {
     "count": 0, "mean": float("nan"), "p50": float("nan"),
     "p95": float("nan"), "p99": float("nan"), "max": float("nan"),
 }
+
+#: a fleet's injection batch longer than this lands through one
+#: ``np.add.at`` call instead of a Python loop over its flat indices
+_SHORT_BATCH = 16
 
 #: ``rule(heights, occupied)`` -> the step's (sender, receiver) moves
 SparseRule = Callable[[list[int], set[int]], list[tuple[int, int]]]
@@ -122,7 +132,7 @@ def resolve_push_back(
     cap: int,
     sink: int,
 ) -> np.ndarray:
-    """Effective sends under :attr:`Overflow.PUSH_BACK`.
+    """Effective sends of one run under :attr:`Overflow.PUSH_BACK`.
 
     A send into a full buffer is refused and the packet stays with its
     sender, where it keeps occupying a slot — so refusals cascade away
@@ -133,20 +143,13 @@ def resolve_push_back(
     refusals, and senders sharing a receiver fill its remaining room in
     ``order`` — on trees ascending ``(depth, id)``, exactly the
     deterministic order the packet Simulator resolves its ``moving``
-    list in.  The sink never refuses.  When the vectorised pre-check
-    shows no buffer can refuse, ``sends`` is returned unchanged, which
-    keeps the common case as fast as the drop disciplines.
+    list in.  The sink never refuses.  Only the kernel's settle step
+    calls this, and only for a run in which some buffer refuses.
     """
+    eff = sends.tolist()
     # room after each node popped its own sends; refusals put packets
     # back and shrink it again as the sweep proceeds
-    room = cap - heights + sends
-    incoming = np.zeros_like(room)
-    np.add.at(incoming, receivers[order], sends[order])
-    incoming[sink] = 0  # the sink never fills
-    if (incoming <= np.maximum(room, 0)).all():
-        return sends  # no buffer can refuse: all sends succeed
-    eff = sends.tolist()
-    free = room.tolist()
+    free = (cap - heights + sends).tolist()
     free[sink] = float("inf")  # the sink never refuses
     to = receivers.tolist()
     for v in order.tolist():
@@ -209,44 +212,157 @@ def check_send_counts(
     step: int,
 ) -> None:
     """``validate=True`` checks of ``send_counts`` output (one run or a
-    ``(runs, n)`` fleet matrix): counts within ``[0, capacity]``, no
-    send from an empty buffer, nothing forwarded by the sink."""
+    node-major ``(n, runs)`` fleet matrix): counts within
+    ``[0, capacity]``, no send from an empty buffer, nothing forwarded
+    by the sink."""
     if counts.min(initial=0) < 0 or counts.max(initial=0) > capacity:
         raise SimulationError("policy produced an illegal send count")
     if (counts > heights).any():
         raise SimulationError("policy sent from an empty buffer")
-    if counts[..., sink].any():
+    if counts[sink].any():
         raise SimulationError(
             f"step {step}: the sink (node {sink}) cannot forward packets"
         )
 
 
-def height_result(
-    steps: int, max_height: int, argmax_node: int, argmax_step: int,
-    injected: int, delivered: int, in_flight: int, ledger: LossLedger,
-) -> "RunResult":
-    """A height-only run's summary, in the Simulator's shape.
+def check_capacity(
+    heights: np.ndarray, cap: int | None, step: int,
+    labels: Sequence[int] | None = None,
+) -> None:
+    """No node of ``(n,)`` or ``(n, runs)`` heights above ``cap``;
+    ``labels`` names a fleet's runs in the message."""
+    if cap is None:
+        return
+    per_run = heights.reshape(len(heights), -1).T
+    over = np.argwhere(per_run > cap)
+    if over.size:
+        i, v = (int(x) for x in over[0])
+        run = "" if labels is None else f"run {labels[i]} "
+        raise BufferOverflow(
+            f"step {step}: {run}node {v} holds {int(per_run[i, v])} "
+            f"packets > buffer_capacity {cap}"
+        )
 
-    Per-packet delays are unobservable in a height-only engine, so
-    ``delay_summary`` is the empty recorder's NaN summary.
+
+def _record_overflow(
+    ledgers: list[LossLedger], refused: np.ndarray,
+    drops: dict[tuple[int, str], int] | None = None,
+) -> None:
+    """Account node-major ``refused`` packets (run ``r``'s node ``v`` at
+    flat index ``v·runs + r``) to the runs' ledgers and a trace's tally."""
+    per_run = refused.reshape(-1, len(ledgers))
+    for v, r in zip(*np.nonzero(per_run)):
+        node, k = int(v), int(per_run[v, r])
+        ledgers[r].record(node, "overflow", k)
+        if drops is not None:
+            drops[(node, "overflow")] = drops.get((node, "overflow"), 0) + k
+
+
+#: a run's records, named as :class:`~repro.network.simulator.RunResult`
+#: fields
+_RECORDS = (
+    "max_height", "argmax_node", "argmax_step", "injected", "delivered",
+)
+
+
+class _Rows:
+    """Per-run records of the dense loop: one column per run.
+
+    A fleet's runs are the columns of its ``(n, runs)`` height matrix;
+    a lone engine's run is a one-column view of its
+    :class:`~repro.network.metrics.MetricsBundle` (:meth:`of`, then
+    :meth:`into`).  ``low`` is the lowest record height: no run can set
+    a record in a step whose highest buffer does not top it.
     """
-    # lazy: the simulator imports the policy package, which imports
-    # this module for DagPolicy — a top-level import cycles
-    from .simulator import RunResult
 
-    return RunResult(
-        steps=int(steps),
-        max_height=int(max_height),
-        argmax_node=int(argmax_node),
-        argmax_step=int(argmax_step),
-        injected=int(injected),
-        delivered=int(delivered),
-        in_flight=int(in_flight),
-        delay_summary=dict(_NO_DELAYS),
-        dropped=ledger.total,
-        drops_by_cause=ledger.by_cause(),
-        drops_by_node=ledger.by_node(),
-    )
+    def __init__(
+        self, per_node_max: np.ndarray, ledgers: list[LossLedger],
+        labels: Sequence[int] | None = None, records=(0, -1, -1, 0, 0),
+    ) -> None:
+        self.per_node_max = per_node_max
+        self.ledgers = ledgers
+        self.labels = labels  # a fleet's run indices, for messages
+        self._set(np.array([[v] * len(ledgers) for v in records]))
+
+    def _set(self, rec: np.ndarray) -> None:
+        self.rec = rec.astype(np.int64)
+        for key, row in zip(_RECORDS, self.rec):
+            setattr(self, key, row)  # views: in-place updates land in rec
+        self.low = int(self.max_height.min()) if self.rec.shape[1] else 0
+
+    @classmethod
+    def of(cls, metrics: MetricsBundle) -> "_Rows":
+        t = metrics.tracker
+        return cls(t.per_node_max, [metrics.ledger], None, (
+            t.max_height, t.argmax_node, t.argmax_step, metrics.injected,
+            metrics.delivered,
+        ))
+
+    def into(self, metrics: MetricsBundle) -> None:
+        t = metrics.tracker
+        (t.max_height, t.argmax_node, t.argmax_step, metrics.injected,
+         metrics.delivered) = (int(v) for v in self.rec[:, 0])
+
+    def observe(self, heights: np.ndarray, step: int) -> None:
+        """Strict-greater record updates, first-argmax tie break (the
+        :class:`~repro.network.metrics.MaxHeightTracker` semantics).
+
+        Records are found by comparing against them, not by column
+        maxima: numpy reduces a narrow node-major matrix along its node
+        axis an order of magnitude slower than it compares it."""
+        h = heights.reshape(len(heights), -1)
+        above = h > self.max_height
+        if not above.any():
+            return
+        for r in np.flatnonzero(above.any(axis=0)):
+            self.max_height[r] = h[:, r].max()
+            self.argmax_node[r] = h[:, r].argmax()
+            self.argmax_step[r] = step
+        self.low = int(self.max_height.min())
+
+    def check(self, heights: np.ndarray, cap: int | None, step: int) -> None:
+        """Capacity, then each run's conservation law."""
+        check_capacity(heights, cap, step, self.labels)
+        in_flight = heights.reshape(len(heights), -1).sum(axis=0)
+        for i, ledger in enumerate(self.ledgers):
+            injected, delivered = int(self.injected[i]), int(self.delivered[i])
+            if not ledger.balanced(injected, delivered, int(in_flight[i])):
+                run = "" if self.labels is None else f"run {self.labels[i]}: "
+                raise ConservationViolation(
+                    f"step {step}: {run}injected={injected} != delivered="
+                    f"{delivered} + in_flight={int(in_flight[i])} + dropped="
+                    f"{ledger.total} (drops by cause: {ledger.by_cause()})"
+                )
+
+    def result(self, i: int, steps: int, in_flight: int) -> "RunResult":
+        """Run ``i``'s summary in the Simulator's shape; per-packet
+        delays are unobservable here, so ``delay_summary`` is the empty
+        recorder's NaN summary."""
+        # lazy: the simulator imports the policy package, which imports
+        # this module for DagPolicy — a top-level import cycles
+        from .simulator import RunResult
+
+        ledger = self.ledgers[i]
+        return RunResult(
+            steps=int(steps), in_flight=int(in_flight),
+            **{key: int(v) for key, v in zip(_RECORDS, self.rec[:, i])},
+            delay_summary=dict(_NO_DELAYS), dropped=ledger.total,
+            drops_by_cause=ledger.by_cause(), drops_by_node=ledger.by_node(),
+        )
+
+    def snapshot(self) -> dict[str, Any]:
+        """The records in the durable fleet layout (``(runs, n)``)."""
+        return {
+            "per_node_max": self.per_node_max.T.copy(),
+            **dict(zip(_RECORDS, self.rec.copy())),
+            "ledgers": [led.snapshot() for led in self.ledgers],
+        }
+
+    def restore(self, cp: dict[str, Any]) -> None:
+        self.per_node_max = np.array(cp["per_node_max"].T, order="C")
+        self._set(np.array([cp[key] for key in _RECORDS]))
+        for led, snap in zip(self.ledgers, cp["ledgers"]):
+            led.restore(snap)
 
 
 class _Durable:
@@ -382,9 +498,10 @@ class _DagEngineCore(_Durable):
 
     def _move(
         self, h: np.ndarray, sends: np.ndarray, receivers: np.ndarray
-    ) -> int:
+    ) -> Any:
         """Apply ``sends`` to ``h`` in place (the sink consumes what
-        reaches it); return the number of packets delivered."""
+        reaches it); return the number of packets delivered, per run
+        when ``h`` is a fleet's ``(n, runs)`` matrix."""
         raise NotImplementedError
 
     def _sparse_rule(self) -> SparseRule | None:
@@ -491,35 +608,10 @@ class _DagEngineCore(_Durable):
             sends = np.array(sends, dtype=np.int64)
             sends[list(fault.blocked)] = 0
         self.metrics.injected += len(sites)
-
-        cap = self.buffer_capacity
-        if cap is None:
-            delivered = self._move(h, sends, receivers)
-        elif self.overflow is Overflow.PUSH_BACK:
-            # a refused packet never leaves its sender, so only the
-            # effective sends move; nothing is dropped here
-            sends = resolve_push_back(
-                h, sends, receivers, self._pb_order, cap, self._sink
-            )
-            delivered = self._move(h, sends, receivers)
-        else:
-            # drop-tail / drop-oldest (same height dynamics): each
-            # node's own sends free space before arrivals land, and
-            # arrivals beyond that room are dropped at the receiver
-            base = h - sends
-            delivered = self._move(h, sends, receivers)
-            incoming = h - base
-            incoming[self._sink] = 0  # the sink never fills
-            refused = incoming - np.minimum(
-                incoming, np.maximum(cap - base, 0)
-            )
-            if refused.any():
-                h -= refused
-                for v in np.flatnonzero(refused):
-                    k = int(refused[v])
-                    self.metrics.ledger.record(int(v), "overflow", k)
-                    key = (int(v), "overflow")
-                    drops[key] = drops.get(key, 0) + k
+        delivered, sends = self._settle(
+            h, sends, receivers, [self.metrics.ledger], drops
+        )
+        delivered = int(delivered)
         self.metrics.delivered += delivered
 
         self.step_index += 1
@@ -542,6 +634,48 @@ class _DagEngineCore(_Durable):
                     ),
                 )
             )
+
+    def _settle(
+        self,
+        h: np.ndarray,
+        sends: np.ndarray,
+        receivers: np.ndarray,
+        ledgers: list[LossLedger],
+        drops: dict[tuple[int, str], int] | None = None,
+    ) -> tuple[Any, np.ndarray]:
+        """Move ``sends`` on one run's ``(n,)`` heights or a fleet's
+        ``(n, runs)`` matrix; return what reached the sink (per run)
+        and the sends that moved.
+
+        With finite buffers the refusals are found once: arrivals beyond
+        the room a node's own sends left.  Drop-tail and drop-oldest
+        (same height dynamics) drop them at the receiver.  Under
+        push-back the heights go back, :func:`resolve_push_back` settles
+        each refusing run receiver-first, and the effective sends move.
+        """
+        cap = self.buffer_capacity
+        if cap is None:
+            return self._move(h, sends, receivers), sends
+        base = h - sends
+        delivered = self._move(h, sends, receivers)
+        refused = np.maximum(h - base - np.maximum(cap - base, 0), 0)
+        if not refused.any():
+            return delivered, sends
+        if self.overflow is not Overflow.PUSH_BACK:
+            h -= refused
+            _record_overflow(ledgers, refused, drops)
+            return delivered, sends
+        np.add(base, sends, out=h)
+        sends = sends.copy()
+        n = len(h)
+        per_run = h.reshape(n, -1), sends.reshape(n, -1)
+        for r in np.flatnonzero(refused.reshape(n, -1).any(axis=0)):
+            heights, effective = (a[:, r] for a in per_run)
+            effective[:] = resolve_push_back(
+                heights, effective, receivers, self._pb_order, cap,
+                self._sink,
+            )
+        return self._move(h, sends, receivers), sends
 
     # ------------------------------------------------------------------
     def run(self, steps: int) -> "_DagEngineCore":
@@ -576,25 +710,115 @@ class _DagEngineCore(_Durable):
         )
 
     def _run_batched(self, schedule, steps: int) -> "_DagEngineCore":
-        """The hot loop behind :meth:`run` for precomputed schedules."""
-        if len(schedule) != steps:
-            raise SimulationError(
-                f"adversary {self.adversary!r} returned "
-                f"{len(schedule)} schedule entries for {steps} steps"
-            )
+        """The hot loop behind :meth:`run` for precomputed schedules:
+        the sparse loop while it can, then the dense loop."""
+        batches, _ = self._flatten(
+            [(self.adversary, schedule, self.injection_limit)], steps
+        )
         rule = None if self.metrics.series.enabled else self._sparse_rule()
         if rule is not None:
-            schedule = schedule[self._run_sparse(schedule, rule):]
+            batches = batches[self._run_sparse(batches, rule):]
+        if batches:
+            rows = _Rows.of(self.metrics)
+            self._run_dense(batches, rows, sum(map(len, batches)))
+            rows.into(self.metrics)
+        return self
+
+    def _flatten(
+        self, lanes: list[tuple[Any, Sequence, int] | None], steps: int,
+        labels: Sequence[int] | None = None,
+    ) -> tuple[list, np.ndarray]:
+        """Per-step flat injection batches and each run's injection
+        count, for one run or a fleet.
+
+        ``lanes[r]`` is run ``r``'s ``(adversary, schedule, injection
+        limit)``, or ``None``.  Each distinct batch is validated once, at
+        the first step it appears; run ``r``'s site ``v`` becomes flat
+        index ``v·runs + r`` of the node-major heights.  A constant
+        schedule collapses to one batch; a fleet's long batches become
+        arrays.  ``labels`` names a fleet's runs in messages.
+        """
+        runs = len(lanes)
+        topo = self.topology
+        injected = np.zeros(runs, dtype=np.int64)
+        static: list[int] = []
+        dynamic: list[list[tuple[int, ...]]] = []
+        for r, lane in enumerate(lanes):
+            if lane is None:
+                continue
+            adversary, sched, limit = lane
+            if len(sched) != steps:
+                run = "" if labels is None else f" (run {labels[r]})"
+                raise SimulationError(
+                    f"adversary {adversary!r}{run} returned {len(sched)} "
+                    f"schedule entries for {steps} steps"
+                )
+            if steps and all(entry is sched[0] for entry in sched):
+                sched = sched[:1]  # one batch object repeated
+            canon: dict[tuple[int, ...], tuple[int, ...]] = {}
+            prev: Any = canon  # sentinel never identical to a batch
+            per_step: list[tuple[int, ...]] = []
+            for t, entry in enumerate(sched):
+                if entry is not prev:
+                    key = tuple(entry)
+                    flat = canon.get(key)
+                    if flat is None:
+                        sites = validate_injections(
+                            key, topo, limit, step=self.step_index + t
+                        )
+                        flat = canon[key] = tuple(v * runs + r for v in sites)
+                    prev = entry
+                per_step.append(flat)
+            if len(canon) == 1:
+                static.extend(per_step[0])
+                injected[r] = len(per_step[0]) * steps
+            elif canon:
+                dynamic.append(per_step)
+                injected[r] = sum(map(len, per_step))
+
+        def batch(sites: list[int]) -> Any:
+            if runs > 1 and len(sites) > _SHORT_BATCH:
+                return np.asarray(sites, dtype=np.int64)
+            return tuple(sites)
+
+        if not dynamic:
+            return [batch(static)] * steps, injected
+        if len(dynamic) == 1 and not static:
+            return dynamic[0], injected
+        return [
+            batch(static + [i for lane in dynamic for i in lane[t]])
+            for t in range(steps)
+        ], injected
+
+    def _land(
+        self, flat: np.ndarray, sites, ledgers: list[LossLedger]
+    ) -> None:
+        """Inject a long batch, or any under finite buffers, where an
+        arrival at a full node drops with cause ``"overflow"`` (push-back
+        too: adversary traffic has no upstream sender to hold it)."""
+        cap = self.buffer_capacity
+        if cap is None:
+            np.add.at(flat, sites, 1)
+            return
+        if not len(sites):
+            return
+        arrivals = np.bincount(
+            np.asarray(sites, dtype=np.int64), minlength=flat.size
+        )
+        admitted = np.minimum(arrivals, np.maximum(cap - flat, 0))
+        flat += admitted.astype(flat.dtype)
+        _record_overflow(ledgers, arrivals - admitted)
+
+    def _run_dense(self, batches: list, rows: _Rows, injected) -> None:
+        """The dense batched loop over one run's ``(n,)`` heights or a
+        fleet's ``(n, runs)`` matrix: ``batches`` from :meth:`_flatten`
+        inject ``injected`` packets per run, recorded into ``rows``
+        (every step under ``validate``, and checked)."""
         from ..policies.base import ForwardingPolicy
 
-        h = self.heights
-        topo = self.topology
-        pre = self.decision_timing == "pre_injection"
-        decide = self._decide
-        move = self._move
         # the base observe_injections is a documented no-op: skip the
         # per-step call unless the policy actually overrides it
-        observe_injections = (
+        observe = (
             None
             if type(self.policy).observe_injections in (
                 ForwardingPolicy.observe_injections,
@@ -602,48 +826,50 @@ class _DagEngineCore(_Durable):
             )
             else self.policy.observe_injections
         )
-        tracker = self.metrics.tracker
-        per_node_max = tracker.per_node_max
+        h = self.heights
+        flat = h.reshape(-1)
+        cap = self.buffer_capacity
+        pre = self.decision_timing == "pre_injection"
+        decide = self._decide
+        settle = self._settle
+        land = self._land
+        ledgers = rows.ledgers
+        runs = len(ledgers)
+        per_node_max = rows.per_node_max
         series = self.metrics.series if self.metrics.series.enabled else None
-        # deterministic schedules repeat a handful of distinct batches;
-        # validate each distinct batch once instead of every step
-        canon: dict[tuple[int, ...], tuple[int, ...]] = {}
-        injected = 0
-        delivered = 0
-        for entry in schedule:
-            sites = canon.get(entry)
-            if sites is None:
-                sites = validate_injections(
-                    entry, topo, self.injection_limit, step=self.step_index
-                )
-                canon[entry] = sites
-            if observe_injections is not None:
-                observe_injections(sites)
+        validate = self.validate
+        delivered: Any = 0
+        for sites in batches:
+            if observe is not None:
+                observe(sites)
             if pre:
                 sends, receivers = decide(h)
-                for s in sites:
-                    h[s] += 1
+            if cap is None and type(sites) is tuple:
+                for i in sites:
+                    flat[i] += 1
             else:
-                for s in sites:
-                    h[s] += 1
+                land(flat, sites, ledgers)
+            if not pre:
                 sends, receivers = decide(h)
-            injected += len(sites)
-            delivered += move(h, sends, receivers)
+            delivered = delivered + settle(h, sends, receivers, ledgers)[0]
             self.step_index += 1
-            # inlined MetricsBundle.observe (same semantics, fewer calls)
             np.maximum(per_node_max, h, out=per_node_max)
-            m = int(h.max())
-            if m > tracker.max_height:
-                tracker.max_height = m
-                tracker.argmax_node = int(np.argmax(h))
-                tracker.argmax_step = self.step_index
+            if h.max() > rows.low:
+                rows.observe(h, self.step_index)
             if series is not None:
                 series.observe(self.step_index, h)
-        self.metrics.injected += injected
-        self.metrics.delivered += delivered
-        return self
+            if validate:
+                rows.injected += np.bincount(
+                    np.asarray(sites, dtype=np.int64) % runs, minlength=runs
+                )
+                rows.delivered += delivered
+                delivered = 0
+                rows.check(h, cap, self.step_index)
+        if not validate:
+            rows.injected += injected
+            rows.delivered += delivered
 
-    def _run_sparse(self, schedule, rule: SparseRule) -> int:
+    def _run_sparse(self, batches: list, rule: SparseRule) -> int:
         """Sparse inner loop for the bounded policies; returns steps done.
 
         Under a rate-1 adversary those policies keep the backlog at
@@ -678,19 +904,12 @@ class _DagEngineCore(_Durable):
         argmax_step = tracker.argmax_step
         occ = {v for v in range(topo.n) if hl[v] > 0 and v != sink}
         limit = self._SPARSE_OCCUPANCY_LIMIT
-        canon: dict[tuple[int, ...], tuple[int, ...]] = {}
         injected = 0
         in_flight_start = sum(hl)
         done = 0
-        for entry in schedule:
+        for sites in batches:
             if len(occ) > limit:
                 break
-            sites = canon.get(entry)
-            if sites is None:
-                sites = validate_injections(
-                    entry, topo, self.injection_limit, step=self.step_index
-                )
-                canon[entry] = sites
             if not pre:
                 for s in sites:
                     hl[s] += 1
@@ -745,11 +964,8 @@ class _DagEngineCore(_Durable):
         report per-run results uniformly whether a run was vectorised
         or fell back to a dedicated engine.
         """
-        m = self.metrics
-        return height_result(
-            self.step_index, m.max_height, m.tracker.argmax_node,
-            m.tracker.argmax_step, m.injected, m.delivered,
-            self.heights.sum(), m.ledger,
+        return _Rows.of(self.metrics).result(
+            0, self.step_index, self.heights.sum()
         )
 
     def assert_capacity(self) -> None:
@@ -757,20 +973,11 @@ class _DagEngineCore(_Durable):
 
         Trivially true with unbounded buffers; under a finite
         ``buffer_capacity`` every overflow discipline must keep every
-        non-sink height at or below the capacity (the sink consumes
-        instantly and holds nothing).  Same contract as the fleet
-        engine — checked every step under ``validate=True``.
+        non-sink height at or below the capacity.  The fleet shares the
+        check (:func:`check_capacity`) — checked every step under
+        ``validate=True``.
         """
-        cap = self.buffer_capacity
-        if cap is None:
-            return
-        over = np.flatnonzero(self.heights > cap)
-        if over.size:
-            v = int(over[0])
-            raise BufferOverflow(
-                f"step {self.step_index}: node {v} holds "
-                f"{int(self.heights[v])} packets > buffer_capacity {cap}"
-            )
+        check_capacity(self.heights, self.buffer_capacity, self.step_index)
 
     def assert_conservation(self) -> None:
         """Conservation ledger: injected == delivered + buffered + dropped.
@@ -781,18 +988,9 @@ class _DagEngineCore(_Durable):
         (:meth:`assert_capacity`) so a ``validate=True`` run catches a
         height above ``buffer_capacity`` the moment it appears.
         """
-        self.assert_capacity()
-        in_flight = int(self.heights.sum())
-        ledger = self.metrics.ledger
-        if not ledger.balanced(
-            self.metrics.injected, self.metrics.delivered, in_flight
-        ):
-            raise ConservationViolation(
-                f"step {self.step_index}: injected={self.metrics.injected} "
-                f"!= delivered={self.metrics.delivered} + in_flight="
-                f"{in_flight} + dropped={ledger.total} "
-                f"(drops by cause: {ledger.by_cause()})"
-            )
+        _Rows.of(self.metrics).check(
+            self.heights, self.buffer_capacity, self.step_index
+        )
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> dict[str, Any]:
@@ -832,9 +1030,10 @@ class _DagEngineCore(_Durable):
         CheckpointError
             If the checkpoint's heights do not fit this engine's
             topology (wrong shape, non-integer dtype, or negative
-            entries) — the same refusal style as the durable-checkpoint
-            loader, which only compares engine class names.  The engine
-            is untouched on refusal.
+            entries), or it was taken with a fault plan and this engine
+            runs without one (or the reverse) — the same refusal style
+            as the durable-checkpoint loader, which only compares
+            engine class names.  The engine is untouched on refusal.
         """
         if "engine" in cp:  # full snapshot()
             self.restore(cp["engine"])
@@ -842,10 +1041,18 @@ class _DagEngineCore(_Durable):
             self.adversary = copy.deepcopy(cp["adversary"])
             return
         check_heights(cp["heights"], (self.n,))
+        if (cp.get("faults") is None) != (self.faults is None):
+            raise CheckpointError(
+                "refusing to restore: the checkpoint was taken "
+                + ("without" if self.faults is not None else "with")
+                + " a fault plan and this engine runs "
+                + ("with" if self.faults is not None else "without")
+                + " one"
+            )
         self.heights = cp["heights"].astype(np.int64, copy=True)
         self.step_index = int(cp["step"])
         self.metrics.restore(cp["metrics"])
-        if self.faults is not None and cp.get("faults") is not None:
+        if self.faults is not None:
             self.faults.restore(cp["faults"])
 
 

@@ -14,7 +14,10 @@ tree certifier consumes), ``result()``, the invariant asserts and the
 checkpoint quartet.  What is the tree's own:
 
 * each node sends ``send_counts`` packets (up to the link capacity c)
-  to its static successor, checked under ``validate``;
+  to its static successor, checked under ``validate`` — for one run, or
+  for every column of a fleet's node-major ``(n, runs)`` matrix, which
+  is how :class:`~repro.network.fleet_engine.FleetEngine`'s vectorised
+  lanes run on a TreeEngine instance;
 * the static sender/receiver arrays and the receiver-first push-back
   order: senders in ascending depth (their receivers, one hop closer to
   the sink, settle first, and the sink itself never refuses), siblings
@@ -140,17 +143,17 @@ class TreeEngine(_DagEngineCore):
 
     def _move(
         self, h: np.ndarray, sends: np.ndarray, receivers: np.ndarray
-    ) -> int:
+    ) -> np.ndarray:
         h -= sends
         if self._canonical:
             # path(n): node v sends to v + 1, and a slice shift beats
             # the scatter-add on this hot path
             h[1:] += sends[:-1]
             h[-1] = 0
-            return int(sends[-2])
+            return sends[-2]
         np.add.at(h, self._dest, sends[self._senders])
         h[self._sink] = 0
-        return int(sends[self._pre_sink].sum())
+        return sends[self._pre_sink].sum(axis=0)
 
     def _sparse_rule(self) -> SparseRule | None:
         """Algorithm 5 over plain lists: sibling arbitration.

@@ -13,6 +13,16 @@ Two decision granularities are supported:
 * :meth:`ForwardingPolicy.send_counts` — how many packets each node
   forwards (for capacity c > 1 baselines and lower-bound experiments).
 
+Both take one run's ``(n,)`` heights or a fleet's node-major
+``(n, runs)`` matrix, whose column ``r`` is run ``r``, and return the
+same rank: column ``r`` of the answer must equal what one run's heights
+alone would get.  With the node axis first, node-indexed expressions
+(``heights[succ]``, ``mask[sink] = False``) apply to a fleet unchanged,
+which is how :class:`~repro.network.fleet_engine.FleetEngine` advances a
+whole sweep with one call per step.  A stateful rule (round-robin tie
+rotation) advances its state once per call, as ``runs`` fresh per-run
+instances stepping on one clock would.
+
 Locality is *declared* metadata (``locality`` attribute).  Rather than
 slowing the hot loop with access guards, the test-suite verifies the
 declaration behaviourally: :func:`locality_respected` perturbs heights
@@ -33,6 +43,19 @@ __all__ = [
     "PairwisePolicy",
     "locality_respected",
 ]
+
+
+def _fleet_successors(heights: np.ndarray, topology: Topology) -> np.ndarray:
+    """``heights[succ]`` for a fleet's ``(n, runs)`` matrix.  numpy's row
+    gather is slow on a narrow one (24 µs at n = 1024 and 5 runs), so a
+    slice shift serves the canonical path (3 µs), ``np.take`` the rest
+    (8 µs).  The sink's row is junk for the caller to mask."""
+    if not topology.is_canonical_path:
+        return np.take(heights, topology.succ, axis=0)
+    out = np.empty_like(heights)
+    out[:-1] = heights[1:]
+    out[-1] = 0
+    return out
 
 
 class ForwardingPolicy(ABC):
@@ -80,15 +103,17 @@ class ForwardingPolicy(ABC):
     def send_mask(self, heights: np.ndarray, topology: Topology) -> np.ndarray:
         """Boolean array: ``mask[v]`` iff node ``v`` forwards one packet.
 
-        ``heights`` is the decision-time snapshot (length ``topology.n``,
-        with ``heights[sink] == 0``).  Implementations must never mark
-        the sink or an empty node as sending.
+        ``heights`` is the decision-time snapshot, ``(n,)`` or
+        ``(n, runs)`` with ``heights[sink] == 0`` (see the module
+        docstring).  Implementations must never mark the sink or an
+        empty node as sending.
         """
 
     def send_counts(
         self, heights: np.ndarray, topology: Topology, capacity: int
     ) -> np.ndarray:
-        """Integer array of packets forwarded per node (≤ capacity).
+        """Packets forwarded per node (≤ capacity), in the dtype and
+        shape of ``heights``.
 
         The default is only valid for ``capacity == 1``; capacity-aware
         policies (e.g. greedy) override it.
@@ -99,27 +124,7 @@ class ForwardingPolicy(ABC):
                 f"policy {self.name!r} has no multi-packet rule; "
                 "override send_counts for c > 1"
             )
-        return self.send_mask(heights, topology).astype(np.int64)
-
-    def fleet_send_counts(
-        self, heights: np.ndarray, topology: Topology, capacity: int
-    ) -> np.ndarray | None:
-        """Cross-run decision: ``(runs, n)`` send counts, or ``None``.
-
-        ``heights`` is a ``(runs, n)`` matrix of independent
-        configurations sharing one topology; row ``r`` of the result
-        must equal what :meth:`send_counts` returns for row ``r`` alone
-        — the contract :class:`repro.network.fleet_engine.FleetEngine`
-        relies on to advance a whole sweep in lockstep.  Returning
-        ``None`` (the default) declares the policy not row-vectorisable
-        and makes the fleet fall back to per-run engines.
-
-        Stateful-but-lockstep policies (round-robin tie rotation) must
-        advance their state exactly once per call, mirroring one
-        :meth:`send_mask` call on each of ``runs`` fresh per-run policy
-        instances that all share the same clock.
-        """
-        return None
+        return self.send_mask(heights, topology).astype(heights.dtype)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         loc = "centralized" if self.locality is None else f"{self.locality}-local"
@@ -131,7 +136,8 @@ class PairwisePolicy(ForwardingPolicy):
 
     Subclasses implement :meth:`forwards` as a vectorised predicate.
     This covers Greedy, Downhill, Downhill-or-Flat, FIE and Odd-Even —
-    every local path algorithm discussed in §4 — and runs unchanged on
+    every local path algorithm discussed in §4 — plus the modular and
+    scaled Odd-Even variants of E15 and E16, and runs unchanged on
     trees (where it becomes the 1-local strawman of experiment E8,
     since it performs no sibling arbitration).
     """
@@ -145,31 +151,14 @@ class PairwisePolicy(ForwardingPolicy):
         handled by the caller and need not be checked here."""
 
     def send_mask(self, heights: np.ndarray, topology: Topology) -> np.ndarray:
-        succ = topology.succ
         # heights[succ] is junk for the sink (succ == -1 wraps); masked out.
-        h_succ = heights[succ]
+        h_succ = (
+            heights[topology.succ] if heights.ndim == 1
+            else _fleet_successors(heights, topology)
+        )
         mask = (heights > 0) & self.forwards(heights, h_succ)
         mask[topology.sink] = False
         return mask
-
-    def fleet_send_counts(
-        self, heights: np.ndarray, topology: Topology, capacity: int
-    ) -> np.ndarray | None:
-        """Row-vectorised pairwise rule: the elementwise predicate
-        applies unchanged to a ``(runs, n)`` matrix."""
-        if capacity != 1:
-            return None
-        if topology.is_canonical_path:
-            # slice shift beats a fancy gather on the hot fleet path;
-            # the sink column is junk either way and masked below
-            h_succ = np.empty_like(heights)
-            h_succ[:, :-1] = heights[:, 1:]
-            h_succ[:, -1] = 0
-        else:
-            h_succ = heights[:, topology.succ]
-        mask = (heights > 0) & self.forwards(heights, h_succ)
-        mask[:, topology.sink] = False
-        return mask.astype(heights.dtype)
 
 
 def locality_respected(

@@ -34,13 +34,6 @@ class GreedyPolicy(PairwisePolicy):
         self, heights: np.ndarray, topology: Topology, capacity: int
     ) -> np.ndarray:
         self.check_capacity(capacity)
-        counts = np.minimum(heights, capacity).astype(np.int64)
+        counts = np.minimum(heights, capacity)
         counts[topology.sink] = 0
-        return counts
-
-    def fleet_send_counts(
-        self, heights: np.ndarray, topology: Topology, capacity: int
-    ) -> np.ndarray:
-        counts = np.minimum(heights, capacity).astype(heights.dtype)
-        counts[:, topology.sink] = 0
         return counts

@@ -26,17 +26,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ForwardingPolicy
+from .base import PairwisePolicy
 from ..errors import PolicyError
 from ..network.topology import Topology
 
 __all__ = ["ScaledOddEvenPolicy"]
 
 
-class ScaledOddEvenPolicy(ForwardingPolicy):
+class ScaledOddEvenPolicy(PairwisePolicy):
     """Odd-Even on ⌈h/c⌉-quantised heights; forwards c-packet blocks."""
-
-    locality = 1
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -51,42 +49,17 @@ class ScaledOddEvenPolicy(ForwardingPolicy):
                 f"{self.name} must run at exactly c = {self.capacity}"
             )
 
-    def _blocks(self, h: np.ndarray) -> np.ndarray:
-        return -(-h // self.capacity)  # ceil division
-
-    def send_mask(self, heights: np.ndarray, topology: Topology) -> np.ndarray:
-        H = self._blocks(heights)
-        H_succ = H[topology.succ]
-        odd = (H & 1) == 1
-        mask = (heights > 0) & np.where(odd, H_succ <= H, H_succ < H)
-        mask[topology.sink] = False
-        return mask
+    def forwards(self, h_v: np.ndarray, h_succ: np.ndarray) -> np.ndarray:
+        # Odd-Even on blocks (ceil division): an odd block count
+        # forwards iff H_succ <= H, i.e. H_succ < H + 1
+        H, H_succ = -(-h_v // self.capacity), -(-h_succ // self.capacity)
+        return H_succ < H + (H & 1)
 
     def send_counts(
         self, heights: np.ndarray, topology: Topology, capacity: int
     ) -> np.ndarray:
         self.check_capacity(capacity)
         mask = self.send_mask(heights, topology)
-        counts = np.where(
-            mask, np.minimum(heights, self.capacity), 0
-        ).astype(np.int64)
-        return counts
-
-    def fleet_send_counts(
-        self, heights: np.ndarray, topology: Topology, capacity: int
-    ) -> np.ndarray | None:
-        if capacity != self.capacity:
-            return None
-        H = self._blocks(heights)
-        if topology.is_canonical_path:
-            H_succ = np.empty_like(H)
-            H_succ[:, :-1] = H[:, 1:]
-            H_succ[:, -1] = 0
-        else:
-            H_succ = H[:, topology.succ]
-        # odd block parity forwards on flat: H_succ <= H == H_succ < H+1
-        mask = (heights > 0) & (H_succ < H + (H & 1))
-        mask[:, topology.sink] = False
         return np.where(
             mask, np.minimum(heights, self.capacity), 0
         ).astype(heights.dtype)

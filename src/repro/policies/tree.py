@@ -26,7 +26,7 @@ reproduction must be replayable.
 
 from __future__ import annotations
 
-from typing import Literal
+from typing import Any, Literal
 
 import numpy as np
 
@@ -44,37 +44,59 @@ TieRule = Literal["min_id", "max_id", "round_robin"]
 _SPARSE_CUTOFF = 64
 
 
-def _priority_groups(
-    heights: np.ndarray, succ: np.ndarray, occupied: np.ndarray
-) -> tuple[dict[int, list[int]], dict[int, int]]:
-    """Per parent: its top-height occupied children and that height.
+def _winners(
+    heights: np.ndarray, occupied: np.ndarray, parents: np.ndarray,
+    tie_rule: str, rotation: int,
+) -> tuple[Any, Any]:
+    """Each parent's highest-priority occupied child, as ``(winners,
+    their parents)``; ``parents[i]`` is the parent of ``occupied[i]``.
 
-    Candidate lists ascend in node id because ``occupied`` does, so the
-    first entry is the min-id winner and the last the max-id one.
+    Candidates ascend in node id because ``occupied`` does, so the first
+    is the min-id winner and the last the max-id one.  When only a
+    handful of nodes hold packets (a single adversarial stream on a
+    large tree) numpy call overhead dwarfs the work, so a plain dict
+    sweep answers in lists.  Otherwise a scatter-max over the parents
+    finds each parent's best occupied-child height, a stable argsort
+    groups the tied candidates by parent, and the tie rule picks an
+    offset into each group.  Both are pinned winner for winner by the
+    policy unit tests against the loop reference.
     """
-    cands: dict[int, list[int]] = {}
-    besth: dict[int, int] = {}
-    for v, hv, p in zip(
-        occupied.tolist(), heights[occupied].tolist(),
-        succ[occupied].tolist(),
-    ):
-        if p < 0:  # the sink sends nowhere
-            continue
-        b = besth.get(p, 0)
-        if hv > b:
-            besth[p] = hv
-            cands[p] = [v]
-        elif hv == b:
-            cands[p].append(v)
-    return cands, besth
-
-
-def _pick(group: list[int], tie_rule: str, rotation: int) -> int:
+    if occupied.size <= _SPARSE_CUTOFF:
+        cands: dict[int, list[int]] = {}
+        besth: dict[int, int] = {}
+        for v, hv, p in zip(
+            occupied.tolist(), heights[occupied].tolist(), parents.tolist()
+        ):
+            if p < 0:  # the sink sends nowhere
+                continue
+            b = besth.get(p, 0)
+            if hv > b:
+                besth[p] = hv
+                cands[p] = [v]
+            elif hv == b:
+                cands[p].append(v)
+        groups = cands.values()
+        if tie_rule == "min_id":
+            return [g[0] for g in groups], list(cands)
+        if tie_rule == "max_id":
+            return [g[-1] for g in groups], list(cands)
+        return [g[rotation % len(g)] for g in groups], list(cands)
+    h = heights[occupied]
+    best = np.zeros(heights.size, dtype=np.int64)
+    np.maximum.at(best, parents, h)
+    tied = h == best[parents]
+    top, parents = occupied[tied], parents[tied]
+    order = np.argsort(parents, kind="stable")
+    group, start, size = np.unique(
+        parents[order], return_index=True, return_counts=True
+    )
     if tie_rule == "min_id":
-        return group[0]
-    if tie_rule == "max_id":
-        return group[-1]
-    return group[rotation % len(group)]
+        sel = start
+    elif tie_rule == "max_id":
+        sel = start + size - 1
+    else:  # round_robin
+        sel = start + rotation % size
+    return top[order][sel], group
 
 
 def select_priority_children(
@@ -89,47 +111,15 @@ def select_priority_children(
     (ties per ``tie_rule``); -1 if the node has no occupied child.
     This is shared with the tree-matching certifier (Algorithm 6),
     which must reconstruct the same priority lines the policy used.
-
-    Fully vectorised: a scatter-max over the parent array finds each
-    node's best occupied-child height, then the tied candidates are
-    grouped by parent with a stable argsort (candidate ids are already
-    ascending, matching the order ``topology.children`` lists them) and
-    the tie rule picks an offset into each group.  When only a handful
-    of nodes hold packets (a single adversarial stream on a large tree)
-    the numpy call overhead dwarfs the work, so a plain dict sweep over
-    the occupied nodes takes over — same winners, pinned by the policy
-    unit tests against the loop reference.
     """
     if tie_rule not in ("min_id", "max_id", "round_robin"):
         raise PolicyError(f"unknown tie rule {tie_rule!r}")
-    n = topology.n
     heights = np.asarray(heights)
-    winner = np.full(n, -1, dtype=np.int64)
+    winner = np.full(topology.n, -1, dtype=np.int64)
     succ = topology.succ
     occupied = np.flatnonzero((succ != SINK_SUCC) & (heights > 0))
-    if occupied.size == 0:
-        return winner
-    if occupied.size <= _SPARSE_CUTOFF:
-        cands, _ = _priority_groups(heights, succ, occupied)
-        for p, group in cands.items():
-            winner[p] = _pick(group, tie_rule, rotation)
-        return winner
-    best = np.zeros(n, dtype=np.int64)
-    np.maximum.at(best, succ[occupied], heights[occupied])
-    top = occupied[heights[occupied] == best[succ[occupied]]]
-    parents = succ[top]
-    order = np.argsort(parents, kind="stable")  # groups by parent,
-    top = top[order]                            # ascending id within
-    group, start, size = np.unique(
-        parents[order], return_index=True, return_counts=True
-    )
-    if tie_rule == "min_id":
-        sel = start
-    elif tie_rule == "max_id":
-        sel = start + size - 1
-    else:  # round_robin
-        sel = start + rotation % size
-    winner[group] = top[sel]
+    w, p = _winners(heights, occupied, succ[occupied], tie_rule, rotation)
+    winner[p] = w
     return winner
 
 
@@ -150,83 +140,40 @@ class TreeOddEvenPolicy(ForwardingPolicy):
         self._rotation = 0
 
     def send_mask(self, heights: np.ndarray, topology: Topology) -> np.ndarray:
+        """Algorithm 5 on one run's ``(n,)`` heights or a fleet's
+        ``(n, runs)`` matrix.
+
+        A fleet is arbitrated as one forest of ``runs`` disjoint trees
+        (node ``v`` of run ``r`` becomes ``v·runs + r``): parents of
+        different runs never collide, and the flat ids keep the
+        ascending within-run order the tie rules are defined over.
+        One rotation tick per call, so each run sees the rotation of a
+        fresh per-run policy stepping on the same clock.
+        """
         heights = np.asarray(heights)
         rotation = self._rotation
         if self.tie_rule == "round_robin":
             self._rotation += 1
-        mask = np.zeros(topology.n, dtype=bool)
+        mask = np.zeros(heights.shape, dtype=bool)
+        h, flat = heights.ravel(), mask.ravel()
         # the contract guarantees heights[sink] == 0, so the occupied
         # set never contains the sink
-        occupied = np.flatnonzero(heights > 0)
+        occupied = np.flatnonzero(h > 0)
         if occupied.size == 0:
             return mask
-        if occupied.size <= _SPARSE_CUTOFF:
-            cands, besth = _priority_groups(
-                heights, topology.succ, occupied
-            )
-            for p, group in cands.items():
-                w = _pick(group, self.tie_rule, rotation)
-                hw = besth[p]
-                hp = heights[p]
-                # odd height: forward iff parent <= h; even: strictly
-                mask[w] = hp <= hw if hw & 1 else hp < hw
-            return mask
-        winner = select_priority_children(
-            heights, topology, self.tie_rule, rotation
-        )
-        w = winner[winner >= 0]
-        if w.size:
-            h = heights[w]
-            h_parent = heights[topology.succ[w]]
-            # odd height: forward iff parent <= h; even: strictly below
-            mask[w] = np.where(h & 1, h_parent <= h, h_parent < h)
-        return mask
-
-    def fleet_send_counts(
-        self, heights: np.ndarray, topology: Topology, capacity: int
-    ) -> np.ndarray | None:
-        """Sibling arbitration across a whole fleet at once.
-
-        Flattens the ``(runs, n)`` matrix into one forest of ``runs``
-        disjoint trees (node ``v`` of run ``r`` becomes ``r·n + v``)
-        and runs the dense arbitration of
-        :func:`select_priority_children` over it: parents of different
-        runs never collide, and flattened ids preserve the ascending
-        within-run order the tie rules are defined over.  One rotation
-        tick per call — each run sees the rotation a fresh per-run
-        policy stepping in lockstep would.
-        """
-        if capacity != 1:
-            return None
-        runs, n = heights.shape
-        rotation = self._rotation
-        if self.tie_rule == "round_robin":
-            self._rotation += 1
         succ = topology.succ
-        base = (np.arange(runs, dtype=np.int64) * n)[:, None]
-        succ_f = np.where(succ[None, :] >= 0, succ[None, :] + base, -1).ravel()
-        hf = heights.ravel()
-        counts = np.zeros(runs * n, dtype=heights.dtype)
-        occupied = np.flatnonzero((succ_f >= 0) & (hf > 0))
-        if occupied.size:
-            best = np.zeros(runs * n, dtype=np.int64)
-            np.maximum.at(best, succ_f[occupied], hf[occupied])
-            top = occupied[hf[occupied] == best[succ_f[occupied]]]
-            parents = succ_f[top]
-            order = np.argsort(parents, kind="stable")
-            top = top[order]
-            _group, start, size = np.unique(
-                parents[order], return_index=True, return_counts=True
-            )
-            if self.tie_rule == "min_id":
-                sel = start
-            elif self.tie_rule == "max_id":
-                sel = start + size - 1
-            else:  # round_robin
-                sel = start + rotation % size
-            w = top[sel]
-            hw = hf[w]
-            hp = hf[succ_f[w]]
-            # odd height: forward iff parent <= h; even: strictly below
-            counts[w] = np.where(hw & 1, hp <= hw, hp < hw)
-        return counts.reshape(runs, n)
+        runs = h.size // topology.n
+        if runs > 1:  # node v of run r is v·runs + r
+            parents = succ[occupied // runs] * runs + occupied % runs
+        else:
+            parents = succ[occupied]
+        w, p = _winners(h, occupied, parents, self.tie_rule, rotation)
+        # odd height: forward iff parent <= h; even: strictly below
+        if occupied.size <= _SPARSE_CUTOFF:  # a few winners, in lists
+            for v, u in zip(w, p):
+                hv, hu = h.item(v), h.item(u)
+                flat[v] = hu <= hv if hv & 1 else hu < hv
+        else:
+            hw, hp = h[w], h[p]
+            flat[w] = np.where(hw & 1, hp <= hw, hp < hw)
+        return mask

@@ -62,3 +62,18 @@ class TestExperimentsMdGenerator:
         assert "| 1.5 |" in out
         assert "- note-1" in out
         assert "1/1 experiments pass" in out
+
+
+class TestEngineAB:
+    def test_one_round_on_the_same_tree(self):
+        out = run_script(
+            "tools/engine_ab.py", "src", "src", "--rounds", "1",
+            timeout=600,
+        )
+        rows = {line.split()[0]: line.split() for line in out.splitlines()}
+        for metric in ("engine.per_step_sps", "engine.batched_sps",
+                       "tree.tree_engine_sps", "dag.dag_sps",
+                       "fleet.fleet_sps"):
+            ratio = float(rows[metric][1])
+            assert 0 < ratio < 100, rows[metric]
+            assert rows[metric][-1] in ("0/1", "1/1")

@@ -1,7 +1,7 @@
 """Cross-run parity: FleetEngine vs per-run PathEngine/TreeEngine.
 
 The :class:`~repro.network.fleet_engine.FleetEngine` advances a whole
-ensemble of runs as one ``(runs, n)`` height matrix.  The contract is
+ensemble of runs as one ``(n, runs)`` height matrix.  The contract is
 that the matrix is *nothing but* ``runs`` independent engines in
 lockstep: every row must stay bit-identical to a dedicated
 PathEngine/TreeEngine stepping the same configuration — across overflow
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +28,7 @@ from repro.network.fleet_engine import FleetEngine
 from repro.network.simulator import RunResult
 from repro.network.topology import from_parent_array
 from repro.network.tree_engine import TreeEngine
-from repro.policies import GreedyPolicy, OddEvenPolicy, TreeOddEvenPolicy
+from repro.policies import POLICY_FACTORIES, TreeOddEvenPolicy, make_policy
 
 TIMINGS = st.sampled_from(["pre_injection", "post_injection"])
 
@@ -82,6 +83,22 @@ def fault_plan(draw, n, steps):
     return FaultPlan(events=tuple(events))
 
 
+#: every local registry policy, with the link capacities it supports
+LOCAL_POLICIES = {
+    name: {"greedy": (1, 2, 3), "scaled-odd-even-2": (2,)}.get(name, (1,))
+    for name, factory in sorted(POLICY_FACTORIES.items())
+    if factory().locality is not None
+}
+
+
+@st.composite
+def local_policy(draw, names=tuple(LOCAL_POLICIES)):
+    """A registry policy factory and a capacity it runs at."""
+    name = draw(st.sampled_from(names))
+    capacity = draw(st.sampled_from(LOCAL_POLICIES[name]))
+    return functools.partial(make_policy, name), capacity
+
+
 @st.composite
 def path_fleet(draw, with_faults=False):
     n = draw(st.integers(3, 12))
@@ -89,12 +106,12 @@ def path_fleet(draw, with_faults=False):
     steps = draw(st.integers(1, 30))
     advs = [schedule_adversary(draw, n, steps, sink=n - 1)
             for _ in range(runs)]
-    policy_cls = draw(st.sampled_from([OddEvenPolicy, GreedyPolicy]))
+    policy_cls, capacity = draw(local_policy())
     timing = draw(TIMINGS)
     limits = draw(
         st.lists(st.integers(1, 3), min_size=runs, max_size=runs)
     )
-    kw = {}
+    kw = {"capacity": capacity}
     if draw(st.booleans()):
         kw["buffer_capacity"] = draw(st.integers(1, 3))
         kw["overflow"] = draw(st.sampled_from(list(Overflow)))
@@ -127,14 +144,19 @@ def _lockstep_path(n, runs, steps, advs, policy_cls, timing, limits, kw):
     fleet.assert_capacity()
     for r, eng in enumerate(engines):
         assert_results_match(fleet.result(r), eng.result())
+    return fleet
 
 
 @given(path_fleet())
 @settings(max_examples=50, deadline=None)
 def test_fleet_matches_path_engines(cfg):
     """Vectorised path lanes == dedicated PathEngines, step by step,
-    across finite buffers and all overflow disciplines."""
-    _lockstep_path(*cfg)
+    across every local policy's one rule, finite buffers and all
+    overflow disciplines."""
+    fleet = _lockstep_path(*cfg)
+    runs = cfg[1]
+    if runs > 1:  # every scheduled lane of a real fleet vectorises
+        assert fleet.vectorized_runs == tuple(range(runs))
 
 
 @given(path_fleet(with_faults=True))
@@ -172,28 +194,34 @@ def tree_fleet(draw):
     steps = draw(st.integers(1, 25))
     advs = [schedule_adversary(draw, n, steps, sink=topo.sink)
             for _ in range(runs)]
-    tie = draw(st.sampled_from(["min_id", "max_id", "round_robin"]))
+    tie = st.sampled_from(["min_id", "max_id", "round_robin"])
+    policy, capacity = draw(st.one_of(
+        tie.map(lambda t: (functools.partial(TreeOddEvenPolicy, t), 1)),
+        local_policy(names=("odd-even", "greedy")),
+    ))
     timing = draw(TIMINGS)
-    kw = {}
+    kw = {"capacity": capacity}
     if draw(st.booleans()):
         kw["buffer_capacity"] = draw(st.integers(1, 3))
         kw["overflow"] = draw(st.sampled_from(list(Overflow)))
-    return topo, runs, steps, advs, tie, timing, kw
+    return topo, runs, steps, advs, policy, timing, kw
 
 
 @given(tree_fleet())
 @settings(max_examples=50, deadline=None)
 def test_fleet_matches_tree_engines(cfg):
-    """Vectorised tree lanes (flattened-forest sibling arbitration) ==
-    dedicated TreeEngines on arbitrary random in-trees."""
-    topo, runs, steps, advs, tie, timing, kw = cfg
+    """Vectorised tree lanes (flattened-forest sibling arbitration, and
+    the pairwise rules beside it) == dedicated TreeEngines on arbitrary
+    random in-trees."""
+    topo, runs, steps, advs, policy, timing, kw = cfg
     fleet = FleetEngine(
-        topo, TreeOddEvenPolicy(tie_rule=tie), advs,
-        decision_timing=timing, validate=True, **kw,
+        topo, policy(), advs, decision_timing=timing, validate=True, **kw,
     )
+    if runs > 1:
+        assert fleet.vectorized_runs == tuple(range(runs))
     engines = [
         TreeEngine(
-            topo, TreeOddEvenPolicy(tie_rule=tie), copy.deepcopy(advs[r]),
+            topo, policy(), copy.deepcopy(advs[r]),
             decision_timing=timing, validate=True, **kw,
         )
         for r in range(runs)

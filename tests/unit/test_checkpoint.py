@@ -22,6 +22,7 @@ from repro.io.checkpoint import (
     save_checkpoint,
 )
 from repro.network.engine_fast import PathEngine
+from repro.network.faults import FaultEvent, FaultKind, FaultPlan
 from repro.network.simulator import Simulator
 from repro.network.topology import path
 from repro.policies import OddEvenPolicy
@@ -135,6 +136,34 @@ class TestRefusals:
         engine = PathEngine(16, OddEvenPolicy(), FarEndAdversary()).run(5)
         before = engine.heights.copy()
         with pytest.raises(CheckpointError, match=r"small\.ckpt: .*shape"):
+            engine.load_checkpoint(p)
+        assert engine.step_index == 5
+        assert (engine.heights == before).all()
+        engine.run(5)
+
+    @pytest.mark.parametrize("saved_with_plan", [True, False])
+    def test_checkpoint_with_other_fault_state_is_refused(
+        self, tmp_path, saved_with_plan
+    ):
+        """A crash plan's state loaded into an engine without a plan
+        would stop its drops, and the reverse would silently skip the
+        plan's earlier events: both are refused, the engine untouched."""
+        plan = FaultPlan(events=(
+            FaultEvent(kind=FaultKind.CRASH, start=3, node=0, duration=30),
+        ))
+
+        def build(with_plan):
+            return PathEngine(
+                12, OddEvenPolicy(), FarEndAdversary(),
+                faults=plan if with_plan else None,
+            )
+
+        p = build(saved_with_plan).run(10).save_checkpoint(
+            tmp_path / "f.ckpt"
+        )
+        engine = build(not saved_with_plan).run(5)
+        before = engine.heights.copy()
+        with pytest.raises(CheckpointError, match="fault plan"):
             engine.load_checkpoint(p)
         assert engine.step_index == 5
         assert (engine.heights == before).all()

@@ -45,7 +45,9 @@ def _steppables():
 
 
 def test_all_engines_satisfy_the_base_contract():
-    fleet = FleetEngine(8, OddEvenPolicy(), [FarEndAdversary()] * 4)
+    fleet = FleetEngine(
+        8, OddEvenPolicy(), [FarEndAdversary() for _ in range(4)]
+    )
     for engine in [*_steppables(), fleet]:
         assert isinstance(engine, SimulationEngine), type(engine).__name__
 
@@ -58,7 +60,9 @@ def test_single_run_engines_are_steppable():
 def test_fleet_engine_is_not_steppable():
     """FleetEngine advances all lanes at once via run(); it offers no
     per-step interface and must only satisfy the base facet."""
-    fleet = FleetEngine(8, OddEvenPolicy(), [FarEndAdversary()] * 4)
+    fleet = FleetEngine(
+        8, OddEvenPolicy(), [FarEndAdversary() for _ in range(4)]
+    )
     assert not isinstance(fleet, SteppableEngine)
 
 

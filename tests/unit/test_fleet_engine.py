@@ -27,13 +27,14 @@ from repro.errors import CheckpointError, SimulationError
 from repro.network.engine_fast import PathEngine
 from repro.network.faults import (
     FaultEvent,
+    FaultInjector,
     FaultKind,
     FaultPlan,
     run_with_recovery,
 )
 from repro.network.fleet_engine import FleetEngine
 from repro.network.simulator import RunResult
-from repro.network.topology import balanced_tree
+from repro.network.topology import balanced_tree, path, spider
 from repro.network.tree_engine import TreeEngine
 from repro.policies import GreedyPolicy, OddEvenPolicy, TreeOddEvenPolicy
 
@@ -78,6 +79,40 @@ def test_per_run_sequence_length_must_match_runs():
         FleetEngine(8, OddEvenPolicy(), suite(8), injection_limit=[1, 2])
     with pytest.raises(SimulationError, match="faults"):
         FleetEngine(8, OddEvenPolicy(), suite(8), faults=[None])
+
+
+def test_shared_adversary_instance_rejected():
+    # one stateful adversary stepped by two lanes would tie the runs
+    # together: run 1 would not match a lone engine
+    adv = UniformRandomAdversary(p=0.5, seed=7)
+    with pytest.raises(SimulationError, match="runs 0 and 1"):
+        FleetEngine(16, OddEvenPolicy(), [adv, adv])
+
+
+def test_shared_fault_injector_rejected():
+    plan = FaultPlan(events=(
+        FaultEvent(kind=FaultKind.CRASH, start=3, node=2, duration=4),
+    ))
+    injector = FaultInjector(plan, path(16))
+    with pytest.raises(SimulationError, match="runs 0 and 1"):
+        FleetEngine(
+            16, OddEvenPolicy(), [FarEndAdversary(), FarEndAdversary()],
+            faults=injector,
+        )
+    # a plan broadcasts: every lane builds its own injector
+    fleet = FleetEngine(
+        16, OddEvenPolicy(), [FarEndAdversary(), FarEndAdversary()],
+        faults=plan,
+    )
+    fleet.run(12)
+    assert (fleet.heights[0] == fleet.heights[1]).all()
+
+
+def test_path_below_two_nodes_rejected():
+    with pytest.raises(SimulationError, match="at least 2 nodes"):
+        FleetEngine(
+            1, OddEvenPolicy(), [FarEndAdversary(), FarEndAdversary()]
+        )
 
 
 def test_injection_limit_broadcast_and_per_run():
@@ -219,10 +254,38 @@ def test_max_heights_tracks_per_run_peaks():
 # checkpoint / snapshot
 
 
-def test_checkpoint_restore_replays_identically():
-    advs = [FarEndAdversary(), SeesawAdversary(),
-            UniformRandomAdversary(p=0.5, seed=3)]
-    fleet = FleetEngine(8, OddEvenPolicy(), advs)
+def _round_robin_lanes():
+    # spider(4, 2): leaves 3, 5, 7, 9; two sites a step keep the hub's
+    # four children tied, so the tie rotation decides who moves
+    legs = (3, 5, 7, 9)
+    return [
+        ScheduleAdversary({
+            t: (legs[(t + k) % 4], legs[(t + k + 1) % 4]) for t in range(50)
+        })
+        for k in range(3)
+    ]
+
+
+@pytest.mark.parametrize("topology, policy, adversaries, limit", [
+    pytest.param(
+        8, OddEvenPolicy,
+        lambda: [FarEndAdversary(), SeesawAdversary(),
+                 UniformRandomAdversary(p=0.5, seed=3)],
+        1, id="odd-even-path",
+    ),
+    pytest.param(
+        spider(4, 2), lambda: TreeOddEvenPolicy("round_robin"),
+        _round_robin_lanes, 2, id="round-robin-spider",
+    ),
+])
+def test_checkpoint_restore_replays_identically(
+    topology, policy, adversaries, limit
+):
+    # a restored snapshot must put its policy where the lanes decide:
+    # a stateful (round-robin) policy left behind replays differently
+    fleet = FleetEngine(
+        topology, policy(), adversaries(), injection_limit=limit
+    )
     fleet.run(20)
     snap = fleet.snapshot()
     fleet.run(30)
