@@ -1,6 +1,9 @@
 # Convenience targets for the repro library.
 
 PYTHON ?= python
+# run from a checkout: the package lives under src/ and need not be
+# pip-installed
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test bench soak chaos serve service-smoke \
 	service-abuse experiments experiments-full docs clean

@@ -7,8 +7,9 @@ two scenarios) and lives in :mod:`repro.adversaries.lower_bound`.
 provisioning service name (:data:`ADVERSARY_NAMES`).
 """
 
-from typing import Callable
+from typing import Any, Callable
 
+from ..errors import TopologyError
 from .adaptive import (
     BackfillAdversary,
     MaxHeightChaserAdversary,
@@ -67,9 +68,34 @@ def make_adversary(name: str, seed: int = 0) -> Adversary:
     return _FAMILIES[name](seed)
 
 
+def _refusal(name: str, topology: Any) -> TopologyError | None:
+    try:
+        make_adversary(name).reset(topology, 1)
+    except TopologyError as err:
+        return err
+    return None
+
+
+def check_adversary(name: str, topology: Any) -> None:
+    """Raise :class:`TopologyError` if family ``name`` cannot run on
+    ``topology`` (an in-tree or a DAG).
+
+    The family decides: it runs wherever its own ``reset`` accepts the
+    topology.  The message names the families that do run there.
+    """
+    err = _refusal(name, topology)
+    if err is not None:
+        fits = [a for a in ADVERSARY_NAMES if _refusal(a, topology) is None]
+        raise TopologyError(
+            f"adversary {name!r} cannot run on this topology ({err}); "
+            f"these can: {', '.join(fits)}"
+        ) from err
+
+
 __all__ = [
     "ADVERSARY_NAMES",
     "make_adversary",
+    "check_adversary",
     "Adversary",
     "NullAdversary",
     "validate_injections",

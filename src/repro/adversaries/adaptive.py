@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Adversary
+from .base import Adversary, sink_children
+from ..errors import TopologyError
 from ..network.topology import Topology
 
 __all__ = [
@@ -52,8 +53,8 @@ class SeesawAdversary(Adversary):
         self._start: int | None = None
 
     def reset(self, topology: Topology, capacity: int) -> None:
+        kids = sink_children(topology, "seesaw")
         self._far = int(np.argmax(topology.depth))
-        kids = topology.children[topology.sink]
         self._pre = kids[0] if kids else self._far
         self._fill = self.fill if self.fill is not None else topology.n - 2
         self._start = None
@@ -83,6 +84,10 @@ class PressureAdversary(Adversary):
         self._order: np.ndarray | None = None
 
     def reset(self, topology: Topology, capacity: int) -> None:
+        if not topology.is_path:
+            raise TopologyError(
+                "pressure walks the path order, which only a path has"
+            )
         self._order = topology.path_order()
 
     def inject(self, step, heights, topology):

@@ -19,10 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
+from ..errors import TopologyError
 from ..network.topology import Topology
 from ..network.validation import validate_injections
 
-__all__ = ["Adversary", "validate_injections", "NullAdversary"]
+__all__ = ["Adversary", "validate_injections", "NullAdversary", "sink_children"]
 
 
 class Adversary(ABC):
@@ -72,6 +73,16 @@ class Adversary(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def sink_children(topology: Topology, who: str) -> tuple[int, ...]:
+    """The sink's children, for ``who``'s ``reset``; an in-tree has
+    child lists, a DAG does not and is refused."""
+    if not isinstance(topology, Topology):
+        raise TopologyError(
+            f"{who} walks an in-tree's child lists, which a DAG does not have"
+        )
+    return topology.children[topology.sink]
 
 
 class NullAdversary(Adversary):

@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .base import Adversary
+from .base import Adversary, sink_children
 from ..errors import RateViolation
 from ..network.topology import Topology
 
@@ -95,7 +95,7 @@ class PreSinkAdversary(Adversary):
     def reset(self, topology: Topology, capacity: int) -> None:
         if self.count > capacity:
             raise RateViolation("pre-sink count exceeds rate")
-        kids = topology.children[topology.sink]
+        kids = sink_children(topology, self.name)
         if not kids:
             raise RateViolation("sink has no predecessor to inject at")
         self._node = kids[0]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..adversaries.base import Adversary
-from ..network.engine_fast import PathEngine
 from ..policies.base import ForwardingPolicy
 
 __all__ = ["StabilityVerdict", "probe_stability", "probe_stability_suite"]
@@ -47,31 +46,14 @@ def probe_stability(
 
     ``tolerance`` allows the running maximum to creep by that many
     packets per doubling without being flagged (slow convergence to a
-    bounded worst case looks like tiny residual growth).
+    bounded worst case looks like tiny residual growth).  A one-run
+    :func:`probe_stability_suite`: a fleet of one run steps on its own
+    PathEngine (with a copy of ``policy``).
     """
-    if doublings < 2:
-        raise ValueError("need at least 2 doublings to compare")
-    base = 4 * n if base_horizon is None else base_horizon
-    engine = PathEngine(n, policy, adversary)
-    horizons: list[int] = []
-    maxima: list[int] = []
-    total = 0
-    for d in range(doublings):
-        target = base * (2**d)
-        engine.run(target - total)
-        total = target
-        horizons.append(total)
-        maxima.append(engine.max_height)
-
-    last_growth = maxima[-1] - maxima[-2]
-    steps_delta = horizons[-1] - horizons[-2]
-    stable = last_growth <= tolerance
-    return StabilityVerdict(
-        stable=stable,
-        horizons=tuple(horizons),
-        max_heights=tuple(maxima),
-        growth_rate=last_growth / steps_delta if steps_delta else 0.0,
-    )
+    return probe_stability_suite(
+        n, lambda: policy, [adversary], base_horizon=base_horizon,
+        doublings=doublings, tolerance=tolerance,
+    )[0]
 
 
 def probe_stability_suite(

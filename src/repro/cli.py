@@ -26,7 +26,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .adversaries import ADVERSARY_NAMES, make_adversary
+from .adversaries import ADVERSARY_NAMES, check_adversary, make_adversary
 from .analysis.tables import format_table
 from .experiments import all_experiment_ids, get_experiment
 from .io.results import save_result
@@ -360,97 +360,38 @@ def _cmd_run(ids: Sequence[str], preset: str, out: str | None,
     return 1 if failures else 0
 
 
-def _parse_sim_topology(engine: str, spec: str | None, n: int):
-    """Resolve ``--topology`` for ``--engine``; ``None`` → size-n default.
+def _sim_topology(engine: str, spec: str | None, n: int):
+    """The topology ``--topology`` names (default: a size-n one) in the
+    form ``--engine`` runs: a :class:`Topology` for ``path`` and
+    ``tree``, a :class:`DagTopology` for ``dag``.
 
-    Returns what the engine class constructor expects as its first
-    argument: a node count for ``path``, a :class:`Topology` for
-    ``tree``, a :class:`DagTopology` for ``dag``.  Raises
-    :class:`~repro.errors.ExperimentError` on an engine/topology
+    Raises :class:`~repro.errors.ExperimentError` on an engine/topology
     mismatch, naming the engine that can run the spec.
     """
-    from .errors import ExperimentError, TopologyError
-
-    kind = spec.partition(":")[0] if spec is not None else None
-    if engine == "path":
-        if spec is None:
-            return n
-        if kind != "path":
-            raise ExperimentError(
-                f"engine 'path' only runs path topologies, not {spec!r}; "
-                "use --engine tree (or --engine dag) for it"
-            )
-        try:
-            return int(spec.partition(":")[2] or n)
-        except ValueError as err:
-            raise ExperimentError(f"bad topology spec {spec!r}") from err
-    if engine == "tree":
-        if kind in ("layered", "diamond"):
-            raise ExperimentError(
-                f"engine 'tree' cannot run the DAG topology {spec!r}; "
-                "use --engine dag"
-            )
-        tree, pn = _parse_topology(spec if spec is not None
-                                   else f"random:{n}")
-        if tree is None:  # path:N parses to a node count
-            from .network.topology import path as path_topo
-
-            tree = path_topo(pn)
-        return tree
-    # engine == "dag"
-    from .network import dag as dag_mod
+    from .errors import ExperimentError
+    from .network.dag import DagTopology, from_tree
+    from .network.topology import from_spec
 
     if spec is None:
-        spec = f"layered:{max(1, (n - 1) // 8)}x8"
-        kind = "layered"
-    arg = spec.partition(":")[2]
-    try:
-        if kind == "layered":
-            layers, _, width = arg.partition("x")
-            return dag_mod.layered_dag(int(layers), int(width), seed=0)
-        if kind == "diamond":
-            width, _, length = arg.partition("x")
-            return dag_mod.diamond_grid(int(width), int(length))
-    except (ValueError, TopologyError) as err:
+        spec = {
+            "path": f"path:{n}",
+            "tree": f"random:{n}",
+            "dag": f"layered:{max(1, (n - 1) // 8)}x8",
+        }[engine]
+    topo = from_spec(spec)
+    if engine == "dag":
+        return topo if isinstance(topo, DagTopology) else from_tree(topo)
+    if isinstance(topo, DagTopology):
         raise ExperimentError(
-            f"bad topology spec {spec!r}; engine 'dag' takes "
-            "layered:LxW, diamond:WxL or any tree spec"
-        ) from err
-    tree, pn = _parse_topology(spec)
-    if tree is None:
-        from .network.topology import path as path_topo
-
-        tree = path_topo(pn)
-    return dag_mod.from_tree(tree)
-
-
-# adversaries each engine's topology can support: pressure walks a
-# path order, pre-sink/seesaw walk the tree's child lists — neither
-# structure exists on a general DAG
-_ENGINE_ADVERSARIES = {
-    "path": ADVERSARY_NAMES,
-    "tree": ("far-end", "pre-sink", "seesaw", "uniform", "round-robin",
-             "max-chaser"),
-    "dag": ("far-end", "uniform", "round-robin", "max-chaser"),
-}
-
-
-def _make_sim_adversary(engine: str, name: str, seed: int):
-    from .errors import ExperimentError
-
-    allowed = _ENGINE_ADVERSARIES[engine]
-    if name not in allowed:
-        reason = (
-            "needs a path topology"
-            if name == "pressure"
-            else "walks the tree's child lists, which this engine's "
-                 "topology does not have"
+            f"engine {engine!r} cannot run the DAG topology {spec!r}; "
+            "use --engine dag"
         )
+    if engine == "path" and not topo.is_canonical_path:
         raise ExperimentError(
-            f"adversary {name!r} {reason}; engine {engine!r} supports: "
-            + ", ".join(allowed)
+            f"engine 'path' only runs path topologies, not {spec!r}; "
+            "use --engine tree (or --engine dag) for it"
         )
-    return make_adversary(name, seed)
+    return topo
 
 
 def _make_sim_policy(engine: str, policy: str):
@@ -496,15 +437,17 @@ def _cmd_simulate(policy: str, adversary: str, n: int,
     from .viz.ascii import height_profile, sparkline
 
     plan = _load_fault_plan(faults)
-    topo = _parse_sim_topology(engine, topology, n)
-    size = topo if isinstance(topo, int) else topo.n
+    topo = _sim_topology(engine, topology, n)
+    size = topo.n
     steps = default_step_budget(size) if steps is None else steps
+    sim_policy = _make_sim_policy(engine, policy)
+    check_adversary(adversary, topo)
     # every backend satisfies the SteppableEngine contract, so the
     # construction, recovery driver and reporting below are shared
     sim = resolve_engine(engine)(
-        topo,
-        _make_sim_policy(engine, policy),
-        _make_sim_adversary(engine, adversary, seed),
+        size if engine == "path" else topo,
+        sim_policy,
+        make_adversary(adversary, seed),
         series_every=max(1, steps // 64),
         buffer_capacity=buffer_capacity,
         overflow=overflow,
@@ -546,32 +489,6 @@ def _cmd_simulate(policy: str, adversary: str, n: int,
     return 0
 
 
-def _parse_topology(spec: str):
-    from .errors import ExperimentError
-    from .network import topology as topo_mod
-
-    kind, _, arg = spec.partition(":")
-    try:
-        if kind == "path":
-            return None, int(arg or 256)
-        if kind == "spider":
-            arms, _, length = arg.partition("x")
-            return topo_mod.spider(int(arms), int(length)), None
-        if kind == "binary":
-            return topo_mod.balanced_tree(2, int(arg)), None
-        if kind == "random":
-            return topo_mod.random_tree(int(arg), seed=0), None
-    except ValueError as err:
-        raise ExperimentError(
-            f"bad topology spec {spec!r}; use path:N, spider:AxL, "
-            "binary:D or random:N"
-        ) from err
-    raise ExperimentError(
-        f"bad topology spec {spec!r}; use path:N, spider:AxL, binary:D "
-        "or random:N"
-    )
-
-
 def _cmd_certify(topology: str, adversary: str, steps: int | None,
                  seed: int, show_figure: bool) -> int:
     import numpy as np
@@ -583,9 +500,17 @@ def _cmd_certify(topology: str, adversary: str, steps: int | None,
         certify_path_run,
     )
     from .core.tree_certificate import certify_tree_run
+    from .errors import ExperimentError
+    from .network.topology import Topology, from_spec
 
-    tree, n = _parse_topology(topology)
-    if tree is None:
+    topo = from_spec(topology)
+    if not isinstance(topo, Topology):
+        raise ExperimentError(
+            f"certify runs paths and trees, not the DAG topology "
+            f"{topology!r}"
+        )
+    if topo.is_canonical_path:
+        n = topo.n
         steps = steps if steps is not None else 16 * n
         if adversary == "attack":
             from .adversaries import RecursiveLowerBoundAttack
@@ -619,58 +544,47 @@ def _cmd_certify(topology: str, adversary: str, steps: int | None,
             print(render_node_attachments(cert.scheme, cert.heights, peak))
         return 0 if report.certified else 1
 
-    steps = steps if steps is not None else 12 * tree.n
-    adv = make_adversary(
-        "uniform" if adversary == "attack" else adversary, seed
+    steps = steps if steps is not None else 12 * topo.n
+    family = "uniform" if adversary == "attack" else adversary
+    check_adversary(family, topo)
+    report = certify_tree_run(
+        topo, make_adversary(family, seed), steps, validate_every=5
     )
-    report = certify_tree_run(tree, adv, steps, validate_every=5)
-    print(f"CERTIFIED tree run: n={tree.n}, rounds={report.rounds}, "
+    print(f"CERTIFIED tree run: n={topo.n}, rounds={report.rounds}, "
           f"max height {report.max_height} <= bound {report.bound}, "
           f"{report.crossover_pairs} crossover pairs")
     return 0 if report.certified else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    from .errors import (
-        CheckpointError,
-        ExperimentError,
-        FaultError,
-        PolicyError,
-    )
+    from .errors import ReproError
 
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "describe":
-        return _cmd_describe(args.experiment)
-    if args.command == "run":
-        try:
+    try:
+        if args.command == "list":
+            return _cmd_list()
+        if args.command == "describe":
+            return _cmd_describe(args.experiment)
+        if args.command == "run":
             return _cmd_run(args.experiments, args.preset, args.out,
                             args.no_artifacts, args.faults,
                             args.jobs, args.bench,
                             args.timeout, args.retries, args.backoff,
                             args.label, args.resume, args.runs_root)
-        except (CheckpointError, ExperimentError, FaultError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "certify":
-        return _cmd_certify(args.topology, args.adversary, args.steps,
-                            args.seed, args.show_figure)
-    if args.command == "simulate":
-        try:
+        if args.command == "certify":
+            return _cmd_certify(args.topology, args.adversary, args.steps,
+                                args.seed, args.show_figure)
+        if args.command == "simulate":
             return _cmd_simulate(args.policy, args.adversary, args.n,
                                  args.steps, args.seed, args.faults,
                                  args.buffer_capacity, args.overflow,
                                  args.snapshot_every, args.checkpoint_dir,
                                  args.validate, args.engine,
                                  args.topology)
-        except (CheckpointError, ExperimentError, FaultError,
-                PolicyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "serve":
         return _cmd_serve(args)
-    raise AssertionError("unreachable")  # pragma: no cover
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

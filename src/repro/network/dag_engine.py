@@ -78,6 +78,7 @@ __all__ = [
     "DagPolicy",
     "DagEngine",
     "DagLoopEngine",
+    "check_fault_state",
     "check_heights",
     "check_send_counts",
     "check_settings",
@@ -190,6 +191,20 @@ def check_heights(heights: Any, shape: tuple[int, ...]) -> None:
         raise CheckpointError(
             "refusing to restore: checkpoint heights are negative at "
             f"node {at[-1]}" + (f" of row {at[0]}" if len(at) > 1 else "")
+        )
+
+
+def check_fault_state(saved: Any, faults: Any) -> None:
+    """Refuse a checkpoint whose fault state (``saved``) does not match
+    the engine's injector (``faults``): one was taken with a fault plan
+    and the other runs without one."""
+    if (saved is None) != (faults is None):
+        raise CheckpointError(
+            "refusing to restore: the checkpoint was taken "
+            + ("without" if faults is not None else "with")
+            + " a fault plan and this engine runs "
+            + ("with" if faults is not None else "without")
+            + " one"
         )
 
 
@@ -1041,14 +1056,7 @@ class _DagEngineCore(_Durable):
             self.adversary = copy.deepcopy(cp["adversary"])
             return
         check_heights(cp["heights"], (self.n,))
-        if (cp.get("faults") is None) != (self.faults is None):
-            raise CheckpointError(
-                "refusing to restore: the checkpoint was taken "
-                + ("without" if self.faults is not None else "with")
-                + " a fault plan and this engine runs "
-                + ("with" if self.faults is not None else "without")
-                + " one"
-            )
+        check_fault_state(cp.get("faults"), self.faults)
         self.heights = cp["heights"].astype(np.int64, copy=True)
         self.step_index = int(cp["step"])
         self.metrics.restore(cp["metrics"])

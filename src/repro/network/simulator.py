@@ -42,6 +42,7 @@ from typing import Any
 import numpy as np
 
 from .buffers import Buffer, Discipline, Overflow, coerce_overflow
+from .dag_engine import _Durable, check_fault_state, check_heights
 from .events import StepRecord, TraceRecorder
 from .faults import NO_FAULTS, FaultInjector, FaultPlan, StepFaults
 from .metrics import MetricsBundle
@@ -51,8 +52,6 @@ from .validation import validate_injections
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from pathlib import Path
-
     from ..adversaries.base import Adversary
 from ..errors import BufferOverflow, ConservationViolation, SimulationError
 from ..policies.base import ForwardingPolicy
@@ -87,7 +86,7 @@ class RunResult:
         return self.dropped / self.injected if self.injected else 0.0
 
 
-class Simulator:
+class Simulator(_Durable):
     """Packet-level synchronous simulator on an arbitrary in-tree.
 
     Parameters (beyond the faithful-model ones)
@@ -504,37 +503,27 @@ class Simulator:
         return cp
 
     def restore(self, cp: dict[str, Any]) -> None:
-        """Roll back to a previous :meth:`checkpoint` / :meth:`snapshot`."""
+        """Roll back to a previous :meth:`checkpoint` / :meth:`snapshot`.
+
+        Refuses a checkpoint that does not fit with
+        :class:`~repro.errors.CheckpointError`, as the height engines
+        do (heights of another shape, or the other fault state), and
+        is untouched then.
+        """
+        check_heights(
+            np.asarray([b.height for b in cp["buffers"]], dtype=np.int64),
+            (self.n,),
+        )
+        check_fault_state(cp.get("faults"), self.faults)
         self.buffers = copy.deepcopy(cp["buffers"])
         self._heights = self._derived_heights()
         self.step_index = cp["step"]
         self._next_pid = cp["next_pid"]
         self.delivered_packets = copy.deepcopy(cp["delivered_packets"])
         self.metrics.restore(cp["metrics"])
-        if self.faults is not None and cp.get("faults") is not None:
+        if self.faults is not None:
             self.faults.restore(cp["faults"])
         if "policy" in cp:
             self.policy = copy.deepcopy(cp["policy"])
         if "adversary" in cp:
             self.adversary = copy.deepcopy(cp["adversary"])
-
-    def save_checkpoint(self, path) -> "Path":
-        """Persist :meth:`snapshot` to a durable, checksummed file.
-
-        Atomic write (temp + fsync + rename); see
-        :mod:`repro.io.checkpoint` for the format and failure modes.
-        """
-        from ..io.checkpoint import save_checkpoint
-
-        return save_checkpoint(self, path)
-
-    def load_checkpoint(self, path) -> dict[str, Any]:
-        """Restore state saved by :meth:`save_checkpoint`.
-
-        Raises :class:`~repro.errors.CheckpointError` (naming the file
-        and the diagnosis) on corruption, truncation, schema-version or
-        engine-class mismatch; the engine is untouched on failure.
-        """
-        from ..io.checkpoint import load_checkpoint
-
-        return load_checkpoint(self, path)

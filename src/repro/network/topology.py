@@ -21,12 +21,16 @@ traversal order, all of which are needed by the tree scheduling policy
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..errors import TopologyError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .dag import DagTopology
 
 __all__ = [
     "SINK_SUCC",
@@ -40,6 +44,7 @@ __all__ = [
     "random_tree",
     "from_parent_array",
     "from_networkx",
+    "from_spec",
 ]
 
 SINK_SUCC: int = -1
@@ -70,7 +75,7 @@ class Topology:
     is_canonical_path: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        succ = np.asarray(self.succ, dtype=np.int64)
+        succ = np.array(self.succ, dtype=np.int64)  # frozen below
         if succ.ndim != 1 or succ.size == 0:
             raise TopologyError("successor array must be 1-D and non-empty")
         n = succ.size
@@ -96,7 +101,11 @@ class Topology:
             if p != SINK_SUCC:
                 kids[p].append(v)
 
-        order = np.argsort(depth, kind="stable")[::-1]  # leaves first
+        # leaves first
+        bottom_up = np.argsort(depth, kind="stable")[::-1].astype(np.int64)
+        # read-only: from_spec hands one instance to every caller
+        for arr in (succ, depth, bottom_up):
+            arr.flags.writeable = False
 
         object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "sink", sink)
@@ -104,7 +113,7 @@ class Topology:
         object.__setattr__(
             self, "children", tuple(tuple(c) for c in kids)
         )
-        object.__setattr__(self, "bottom_up", order.astype(np.int64))
+        object.__setattr__(self, "bottom_up", bottom_up)
         # the path() node ordering (0 = far end, v -> v+1, sink last):
         # hot loops test this to swap fancy gathers for slice shifts
         object.__setattr__(
@@ -394,3 +403,84 @@ def from_networkx(graph, sink: int) -> Topology:
         # farther endpoint forwards to the closer one.
         parents[farther] = closer
     return Topology(parents)
+
+
+# ----------------------------------------------------------------------
+# The spec grammar: ``kind:ARGS`` strings naming one instance
+# ----------------------------------------------------------------------
+
+def _layered(layers: int, width: int) -> "DagTopology":
+    from .dag import layered_dag
+
+    return layered_dag(layers, width, seed=0)
+
+
+def _diamond(width: int, length: int) -> "DagTopology":
+    from .dag import diamond_grid
+
+    return diamond_grid(width, length)
+
+
+#: kind -> (argument names, node count, builder); the count is worked
+#: out from the arguments alone, so a spec is refused before it is built
+#: (the binary exponent is capped: 2^63 - 1 nodes exceeds any cap)
+_SPEC_KINDS: dict[str, tuple[str, Callable[..., int], Callable[..., Any]]] = {
+    "path": ("N", lambda n: n, path),
+    "spider": ("AxL", lambda arms, length: arms * length + 2, spider),
+    "binary": (
+        "D", lambda depth: (2 << min(depth, 62)) - 1,
+        lambda depth: balanced_tree(2, depth),
+    ),
+    "random": ("N", lambda n: n, lambda n: random_tree(n, seed=0)),
+    "layered": ("LxW", lambda layers, width: layers * width + 1, _layered),
+    "diamond": ("WxL", lambda width, length: width * length + 1, _diamond),
+}
+_SPEC_USAGE = ", ".join(f"{k}:{a}" for k, (a, _, _) in _SPEC_KINDS.items())
+
+
+@functools.lru_cache(maxsize=16)
+def from_spec(
+    spec: str, max_nodes: int | None = None
+) -> "Topology | DagTopology":
+    """The topology a spec string names; the one reader of the grammar.
+
+    ``path:N``, ``spider:AxL``, ``binary:D`` and ``random:N`` (seed 0)
+    are in-trees; ``layered:LxW`` (seed 0) and ``diamond:WxL`` are
+    :class:`~repro.network.dag.DagTopology` instances.  Every argument
+    is an integer >= 1, and a bare ``path`` is ``path:256``.  Results
+    are memoised, so a repeated spec costs a lookup and every caller
+    shares one instance (a :class:`Topology`'s arrays are read-only).
+
+    Raises
+    ------
+    TopologyError
+        For an unknown kind, malformed arguments, fewer than 2 nodes, or
+        more than ``max_nodes`` — checked before anything is built.
+    """
+    kind, _, arg = spec.partition(":")
+    if kind not in _SPEC_KINDS:
+        raise TopologyError(
+            f"unknown topology kind in {spec!r}; use {_SPEC_USAGE}"
+        )
+    names, count, build = _SPEC_KINDS[kind]
+    if kind == "path" and not arg:
+        arg = "256"
+    try:
+        args = [int(a) for a in arg.split("x")]
+    except ValueError:
+        args = []
+    if len(args) != len(names.split("x")) or min(args) < 1:
+        raise TopologyError(
+            f"bad topology spec {spec!r}; use {kind}:{names} with "
+            "integers >= 1"
+        )
+    n = count(*args)
+    if n < 2:
+        raise TopologyError(
+            f"topology {spec!r} has {n} node; a run needs at least 2"
+        )
+    if max_nodes is not None and n > max_nodes:
+        raise TopologyError(
+            f"topology {spec!r} has more than {max_nodes} nodes"
+        )
+    return build(*args)

@@ -33,6 +33,7 @@ worker per CPU" (``os.cpu_count()``).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import threading
@@ -554,7 +555,7 @@ def run_experiments(
         drain()
 
     pending = [(idx, eid) for idx, eid in enumerate(ids) if idx not in done]
-    with _SigtermFlush() if store is not None else _NullContext():
+    with _SigtermFlush() if store is not None else contextlib.nullcontext():
         try:
             drain()  # stream reused records first
             if not pending:
@@ -579,11 +580,3 @@ def run_experiments(
                     manifest, partial=len(done) < len(ids)
                 )
     return manifest
-
-
-class _NullContext:
-    def __enter__(self) -> "_NullContext":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        pass

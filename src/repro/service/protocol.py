@@ -37,12 +37,15 @@ is served or cached.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..adversaries import ADVERSARY_NAMES
-from ..errors import ReproError
+from ..adversaries import ADVERSARY_NAMES, check_adversary
+from ..errors import PolicyError, ReproError, TopologyError
 from ..network.buffers import Overflow, coerce_overflow
+from ..network.topology import Topology, from_spec
+from ..policies import available_policies, make_policy
 from ..runner.store import canonical_sha256
 
 __all__ = [
@@ -59,9 +62,6 @@ __all__ = [
 
 RESPONSE_SCHEMA = "repro-provision-v1"
 
-#: topology specs the service accepts, mirroring ``repro certify``.
-_TOPOLOGY_KINDS = ("path", "spider", "binary", "random")
-
 
 class ServiceError(ReproError):
     """Base class for provisioning-service failures."""
@@ -76,70 +76,51 @@ class BadRequest(ServiceError):
 MAX_TOPOLOGY_NODES = 16_384
 
 
-def _spec_nodes(kind: str, arg: str) -> int:
-    """Node count a spec resolves to, worked out without building it."""
-    if kind == "path":
-        return int(arg or 256)
-    if kind == "random":
-        return int(arg)
-    if kind == "spider":
-        arms, _, length = arg.partition("x")
-        return int(arms) * int(length) + 1
-    if kind == "binary":
-        depth = int(arg)
-        # 2^(D+1) - 1 nodes; a depth past the cap never takes the power
-        if depth > MAX_TOPOLOGY_NODES.bit_length():
-            return MAX_TOPOLOGY_NODES + 1
-        return (1 << (depth + 1)) - 1
-    raise ValueError(f"unknown topology kind {kind!r}")
+def _tree(spec: str) -> Topology:
+    """The in-tree a spec names, within the service's size cap.
 
-
-def _resolve_topology(spec: str):
-    """``(succ_list, n, is_path)`` for a topology spec string.
-
-    The size is checked from the spec before anything is built, so an
-    oversized spec costs the event loop nothing.
+    :func:`~repro.network.topology.from_spec` works the size out before
+    building anything, so an oversized spec costs the event loop
+    nothing.  DAG kinds are refused: the service runs paths and trees.
     """
-    from ..network import topology as topo
-
-    kind, _, arg = str(spec).partition(":")
-    try:
-        n = _spec_nodes(kind, arg)
-        if n > MAX_TOPOLOGY_NODES:
-            raise BadRequest(
-                f"topology {spec!r} has more than {MAX_TOPOLOGY_NODES} "
-                "nodes, the most the service simulates"
-            )
-        if kind == "path":
-            if n < 2:
-                raise ValueError
-            return list(range(1, n)) + [-1], n, True
-        if kind == "spider":
-            arms, _, length = arg.partition("x")
-            t = topo.spider(int(arms), int(length))
-        elif kind == "binary":
-            t = topo.balanced_tree(2, int(arg))
-        else:
-            t = topo.random_tree(n, seed=0)
-        if t.n < 2:
-            raise ValueError
-    except BadRequest:
-        raise
-    except (ValueError, TypeError, ReproError) as err:
-        raise BadRequest(
-            f"bad topology spec {spec!r}; use path:N (N>=2), spider:AxL "
-            f"(A, L >= 1), binary:D (D>=1) or random:N (N>=2)"
-        ) from err
-    return [int(s) for s in t.succ], t.n, bool(t.is_canonical_path)
+    topo = from_spec(spec, MAX_TOPOLOGY_NODES)
+    if not isinstance(topo, Topology):
+        raise TopologyError(
+            f"topology {spec!r} is a DAG; the service runs paths and "
+            "trees (repro simulate --engine dag runs DAGs)"
+        )
+    return topo
 
 
+@functools.lru_cache(maxsize=256)
 def topology_sha(spec: str) -> str:
     """Content address of the topology a spec resolves to.
 
     Hashes the successor array, not the spec string, so two spellings
     of the same tree share cache entries.
     """
-    return canonical_sha256({"succ": _resolve_topology(spec)[0]})
+    return canonical_sha256({"succ": _tree(spec).succ.tolist()})
+
+
+@functools.lru_cache(maxsize=256)
+def _adversary_refusal(adversary: str, spec: str) -> str | None:
+    """Why the family cannot run on the spec's topology; None if it can."""
+    try:
+        check_adversary(adversary, _tree(spec))
+    except TopologyError as err:
+        return str(err)
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _policy_refusal(policy: str) -> str | None:
+    """Why the policy cannot run at the service's rate c = 1; None if
+    it can."""
+    try:
+        make_policy(policy).check_capacity(1)
+    except PolicyError as err:
+        return f"policy {policy!r} cannot run at c = 1: {err}"
+    return None
 
 
 _DECISION_TIMINGS = ("pre_injection", "post_injection")
@@ -197,10 +178,12 @@ class ProvisionQuery:
             q.preset = preset
         else:
             q.topology = str(raw.get("topology", q.topology))
-            succ, q.n, q.is_path = _resolve_topology(q.topology)
+            try:
+                topo = _tree(q.topology)
+            except TopologyError as err:
+                raise BadRequest(str(err)) from err
+            q.n, q.is_path = topo.n, topo.is_canonical_path
             q.policy = str(raw.get("policy", q.policy))
-            from ..policies import available_policies
-
             if q.is_path and q.policy == "tree-odd-even":
                 raise BadRequest("tree-odd-even needs a tree topology")
             if not q.is_path:
@@ -264,7 +247,7 @@ class ProvisionQuery:
                 except ReproError as err:
                     raise BadRequest(f"bad fault plan: {err}") from err
                 q.faults = faults
-            q.topology_sha = canonical_sha256({"succ": succ})
+            q.topology_sha = topology_sha(q.topology)
         deadline = raw.get("deadline_s")
         if deadline is not None:
             # type(), not isinstance(): JSON true/false are bools
@@ -276,27 +259,29 @@ class ProvisionQuery:
     def check_runnable(self) -> None:
         """Reject a well-formed query no engine can run, as a 400.
 
-        ``pressure`` walks the path order, which trees do not have
-        (``repro simulate`` refuses the same pair), and a fault event
-        may not name the sink or a node outside the topology.  Kept
-        apart from :meth:`from_dict` because such a query still has a
-        content address: perfbench parses its known-failure probe
-        in-process.  The front door calls both, so the query never
-        reaches a shard, where it would fail its whole batch.
+        The objects decide, and their verdicts are memoised: the
+        adversary family's own ``reset`` must accept the topology
+        (``pressure`` needs a path), the policy's ``check_capacity``
+        the service's rate c = 1, and no fault event may name the sink
+        or a node off the topology.  Kept apart from :meth:`from_dict`
+        because such a query still has a content address (perfbench
+        parses its known-failure probe in-process); the front door
+        calls both, so it never reaches a shard, where it would fail
+        its whole batch.
         """
-        if self.adversary == "pressure" and not self.is_path:
-            raise BadRequest(
-                "adversary 'pressure' needs a path topology; trees "
-                "support: "
-                + ", ".join(a for a in ADVERSARY_NAMES if a != "pressure")
-            )
+        for refusal in (
+            _adversary_refusal(self.adversary, self.topology),
+            _policy_refusal(self.policy),
+        ):
+            if refusal is not None:
+                raise BadRequest(refusal)
         if self.faults is not None:
             from ..network.faults import FaultPlan, check_fault_nodes
 
-            succ = _resolve_topology(self.topology)[0]
+            topo = _tree(self.topology)
             try:
                 check_fault_nodes(
-                    FaultPlan.from_dict(self.faults), self.n, succ.index(-1)
+                    FaultPlan.from_dict(self.faults), topo.n, topo.sink
                 )
             except ReproError as err:
                 raise BadRequest(f"faults: {err}") from err

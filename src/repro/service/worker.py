@@ -151,7 +151,7 @@ def _run_fleet_lanes(
     from ..network.faults import FaultPlan
     from ..network.fleet_engine import FleetEngine
     from ..policies import make_policy
-    from .protocol import ServiceError, _resolve_topology
+    from .protocol import ServiceError, _tree
 
     head = queries[0]
     if any(q.batch_key() != head.batch_key() for q in queries):
@@ -167,15 +167,8 @@ def _run_fleet_lanes(
         FaultPlan.from_dict(q.faults) if q.faults else None
         for q in queries
     ]
-    if head.is_path:
-        topology: Any = head.n
-    else:
-        from ..network.topology import from_parent_array
-
-        succ, _, _ = _resolve_topology(head.topology)
-        topology = from_parent_array(succ)
     fleet = FleetEngine(
-        topology,
+        _tree(head.topology),
         make_policy(head.policy),
         adversaries,
         decision_timing=head.decision_timing,  # type: ignore[arg-type]

@@ -6,9 +6,9 @@ The tentpole's acceptance bar, exercised against a real
 * a concurrent cache-missing burst sharing a batch key is actually
   coalesced (batcher counters prove it) and every answer matches an
   in-process solo recomputation bit for bit;
-* a poisoned query (``scaled-odd-even-2`` passes validation, fails in
-  the engine) 422s alone while its concurrent neighbours get real
-  answers;
+* a poisoned query (a fault plan of 19 halts, more than a lane's
+  recovery budget: it passes validation and fails in the engine)
+  422s alone while its concurrent neighbours get real answers;
 * a mid-burst chaos shard kill still yields every response
   correct-or-degraded, with the shard pool healing afterwards;
 * ``--no-batching`` (config ``batch_max_lanes=1``) serves every
@@ -126,9 +126,12 @@ class TestBatchedBurst:
         try:
             port = svc.port
             bodies = _burst_bodies(6)
-            poisoned = {"topology": "path:24",
-                        "policy": "scaled-odd-even-2",
-                        "adversary": "far-end", "steps": 120,
+            poisoned = {"topology": "path:24", "policy": "odd-even",
+                        "adversary": "far-end", "steps": 200,
+                        "faults": {"events": [
+                            {"kind": "halt", "start": 10 * (i + 1)}
+                            for i in range(19)
+                        ]},
                         "deadline_s": DEADLINE_S}
             bodies.insert(3, poisoned)
             with ThreadPoolExecutor(max_workers=7) as pool:
@@ -137,7 +140,7 @@ class TestBatchedBurst:
             assert statuses.count(422) == 1
             assert statuses.count(200) == len(bodies) - 1
             bad = next(d for s, d, _ in results if s == 422)
-            assert "PolicyError" in bad["error"]
+            assert "FaultError" in bad["error"]
             for s, doc, _ in results:
                 if s == 200:
                     assert doc["degraded"] is False

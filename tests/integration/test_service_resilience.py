@@ -272,6 +272,10 @@ class TestBadRequests:
                 {"topology": "binary:0"},
                 # a topology past the size cap, refused before it is built
                 {"topology": "binary:60"},
+                {"topology": "spider:1x16383"},
+                # a DAG (CLI-only), and a policy that cannot run at c = 1
+                {"topology": "layered:3x4"},
+                {"topology": "path:24", "policy": "scaled-odd-even-2"},
             ):
                 status, _, body, _ = post(port, raw)
                 assert status == 400, body

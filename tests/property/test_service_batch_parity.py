@@ -26,7 +26,7 @@ from repro.analysis.occupancy import default_step_budget
 from repro.errors import ReproError
 from repro.network.engine_fast import PathEngine
 from repro.network.faults import FaultPlan, run_with_recovery
-from repro.network.topology import from_parent_array
+from repro.network.topology import from_spec
 from repro.network.tree_engine import TreeEngine
 from repro.policies import TreeOddEvenPolicy, make_policy
 from repro.service import (
@@ -38,7 +38,7 @@ from repro.service import (
     execute_batch,
     execute_query,
 )
-from repro.service.protocol import RESPONSE_SCHEMA, _resolve_topology
+from repro.service.protocol import RESPONSE_SCHEMA
 
 #: topology spec -> the one policy the service runs on it
 TOPOLOGIES = {
@@ -50,7 +50,7 @@ TOPOLOGIES = {
 }
 #: nodes a fault event may name: everything but the sink
 FAULT_NODES = {
-    spec: [v for v, s in enumerate(_resolve_topology(spec)[0]) if s != -1]
+    spec: [v for v, s in enumerate(from_spec(spec).succ) if s != -1]
     for spec in TOPOLOGIES
 }
 #: scheduled (far-end, pre-sink, uniform, round-robin) and adaptive
@@ -87,9 +87,8 @@ def _oracle(worker_dict):
                 query.n, make_policy(query.policy), adversary, **kwargs
             )
         else:
-            succ, _, _ = _resolve_topology(query.topology)
             engine = TreeEngine(
-                from_parent_array(succ), TreeOddEvenPolicy(), adversary,
+                from_spec(query.topology), TreeOddEvenPolicy(), adversary,
                 **kwargs,
             )
         if plan is not None:

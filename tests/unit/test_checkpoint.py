@@ -28,6 +28,12 @@ from repro.network.topology import path
 from repro.policies import OddEvenPolicy
 
 
+def build(engine_cls, n: int, faults: FaultPlan | None = None):
+    """A PathEngine or a Simulator on the n-node path."""
+    first = n if engine_cls is PathEngine else path(n)
+    return engine_cls(first, OddEvenPolicy(), FarEndAdversary(), faults=faults)
+
+
 def make_engine(steps: int = 20) -> PathEngine:
     engine = PathEngine(12, OddEvenPolicy(), FarEndAdversary())
     for _ in range(steps):
@@ -127,13 +133,16 @@ class TestRefusals:
         assert engine.step_index == 5
         assert (engine.heights == before).all()
 
-    def test_checkpoint_of_another_size_is_refused(self, tmp_path):
-        """The header names only the engine class, so a PathEngine(8)
-        file passes every header check on a PathEngine(16); the restore
-        must still refuse it rather than fail at a later step."""
-        small = PathEngine(8, OddEvenPolicy(), FarEndAdversary()).run(10)
+    @pytest.mark.parametrize("engine_cls", [PathEngine, Simulator])
+    def test_checkpoint_of_another_size_is_refused(self, tmp_path, engine_cls):
+        """The header names only the engine class, so a size-8 file
+        passes every header check on a size-16 engine; the restore must
+        still refuse it rather than fail at a later step."""
+        small = build(engine_cls, 8)
+        small.run(10)
         p = small.save_checkpoint(tmp_path / "small.ckpt")
-        engine = PathEngine(16, OddEvenPolicy(), FarEndAdversary()).run(5)
+        engine = build(engine_cls, 16)
+        engine.run(5)
         before = engine.heights.copy()
         with pytest.raises(CheckpointError, match=r"small\.ckpt: .*shape"):
             engine.load_checkpoint(p)
@@ -141,9 +150,10 @@ class TestRefusals:
         assert (engine.heights == before).all()
         engine.run(5)
 
+    @pytest.mark.parametrize("engine_cls", [PathEngine, Simulator])
     @pytest.mark.parametrize("saved_with_plan", [True, False])
     def test_checkpoint_with_other_fault_state_is_refused(
-        self, tmp_path, saved_with_plan
+        self, tmp_path, saved_with_plan, engine_cls
     ):
         """A crash plan's state loaded into an engine without a plan
         would stop its drops, and the reverse would silently skip the
@@ -151,17 +161,11 @@ class TestRefusals:
         plan = FaultPlan(events=(
             FaultEvent(kind=FaultKind.CRASH, start=3, node=0, duration=30),
         ))
-
-        def build(with_plan):
-            return PathEngine(
-                12, OddEvenPolicy(), FarEndAdversary(),
-                faults=plan if with_plan else None,
-            )
-
-        p = build(saved_with_plan).run(10).save_checkpoint(
-            tmp_path / "f.ckpt"
-        )
-        engine = build(not saved_with_plan).run(5)
+        saved = build(engine_cls, 12, plan if saved_with_plan else None)
+        saved.run(10)
+        p = saved.save_checkpoint(tmp_path / "f.ckpt")
+        engine = build(engine_cls, 12, None if saved_with_plan else plan)
+        engine.run(5)
         before = engine.heights.copy()
         with pytest.raises(CheckpointError, match="fault plan"):
             engine.load_checkpoint(p)

@@ -62,11 +62,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Theorem 4.13" in out
 
-    def test_describe_unknown(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError):
-            main(["describe", "E99"])
+    def test_describe_unknown(self, capsys):
+        assert main(["describe", "E99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "E99" in err
 
     def test_run_single_quick(self, capsys, tmp_path):
         code = main(["run", "E6", "--preset", "quick", "--out",
@@ -160,11 +159,45 @@ class TestCommands:
         assert code == 0
         assert "crossover pairs" in capsys.readouterr().out
 
-    def test_certify_bad_topology(self):
-        from repro.errors import ExperimentError
+    def test_certify_bad_topology(self, capsys):
+        assert main(["certify", "--topology", "moebius:9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "moebius:9" in err
 
-        with pytest.raises(ExperimentError):
-            main(["certify", "--topology", "moebius:9"])
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--topology", "foo:3"],
+        ["certify", "--topology", "binary:3", "--adversary", "pressure",
+         "--steps", "50"],
+        ["certify", "--topology", "binary:0", "--steps", "10"],
+        ["certify", "--topology", "layered:3x4"],
+        ["simulate", "--engine", "tree", "--topology", "binary:0",
+         "--steps", "10"],
+        ["simulate", "--engine", "path", "--topology", "path:1",
+         "--steps", "10"],
+        ["simulate", "--engine", "tree", "--topology", "spider:0x3",
+         "--steps", "10"],
+        ["simulate", "--engine", "tree", "--topology", "layered:2x2"],
+        ["describe", "E99"],
+        ["simulate", "--engine", "dag", "--adversary", "seesaw"],
+        ["simulate", "--engine", "path", "--topology", "binary:4"],
+    ])
+    def test_refusals_are_one_error_line_and_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("engine, adversary", [
+        ("path", "pressure"), ("tree", "pre-sink"), ("tree", "seesaw"),
+        ("dag", "far-end"), ("dag", "max-chaser"),
+    ])
+    def test_adversaries_run_where_their_reset_accepts(
+        self, capsys, engine, adversary
+    ):
+        assert main(["simulate", "--engine", engine, "--adversary",
+                     adversary, "-n", "17", "--steps", "20"]) == 0
+        assert f"engine={engine}" in capsys.readouterr().out
 
 
 class TestRunJobsAndBench:

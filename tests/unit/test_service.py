@@ -337,6 +337,8 @@ class TestProvisionQueryValidation:
         {"topology": "binary:60"},
         {"topology": "spider:200x100"},
         {"topology": "random:16385"},
+        {"topology": "spider:1x16383"},  # A*L + 2 = 16385 nodes
+        {"topology": "layered:3x4"},  # DAG kinds are CLI-only
     ])
     def test_bad_requests_rejected(self, raw):
         with pytest.raises(BadRequest):
@@ -375,6 +377,30 @@ class TestProvisionQueryValidation:
             q.check_runnable()
         ProvisionQuery.from_dict({"adversary": "pressure"}).check_runnable()
 
+    def test_policy_that_cannot_run_at_c_1_is_rejected_at_the_front_door(
+        self,
+    ):
+        q = ProvisionQuery.from_dict(
+            {"topology": "path:24", "policy": "scaled-odd-even-2"}
+        )
+        with pytest.raises(BadRequest, match="policy 'scaled-odd-even-2'"):
+            q.check_runnable()
+
+    def test_runnability_verdicts_are_memoised(self, monkeypatch):
+        from repro.service import protocol
+
+        calls = []
+        real = protocol.check_adversary
+        monkeypatch.setattr(
+            protocol, "check_adversary",
+            lambda name, topo: calls.append(name) or real(name, topo),
+        )
+        protocol._adversary_refusal.cache_clear()
+        q = ProvisionQuery.from_dict({"topology": "binary:3"})
+        for _ in range(3):
+            q.check_runnable()
+        assert calls == ["far-end"]
+
     @pytest.mark.parametrize("topology, event", [
         ("binary:3", {"kind": "crash", "start": 1, "node": 0}),
         ("binary:3", {"kind": "link_down", "start": 1, "node": 99}),
@@ -406,6 +432,33 @@ class TestProvisionQueryValidation:
         assert topology_sha("path:8") == topology_sha("path:8")
         assert topology_sha("path:8") != topology_sha("path:9")
         assert topology_sha("binary:2") != topology_sha("path:7")
+        assert topology_sha("path") == topology_sha("path:256")
+        # the cache is keyed on these: a changed digest cold-starts
+        # every existing cache directory
+        for spec, digest in {
+            "path:8": "b62f25ce8ef264a40438abc098285786"
+                      "300beced4fcbe10e1899e23fbf8329ee",
+            "binary:7": "291faa829ac4db067d694c8a8e1be906"
+                        "f567814b5b90ecf93f64b8254cf1ffb3",
+            "spider:8x16": "c419a22626163b79f5a9a97967df996a"
+                           "1214aaf424efb1a0695bd2e3aa94d12f",
+            "random:300": "4c2d176454c82dfeb9b0fc81eb27bed7"
+                          "d1839d85c9db5c38797b07d3f6957fdc",
+        }.items():
+            assert topology_sha(spec) == digest, spec
+
+    def test_cache_and_batch_keys_are_pinned(self):
+        q = ProvisionQuery.from_dict({
+            "topology": "random:300", "policy": "tree-odd-even",
+            "adversary": "uniform", "steps": 800, "seed": 5,
+            "buffer_capacity": 3, "overflow": "push-back",
+        })
+        assert q.cache_key() == (
+            "2d1370fff4e712c086e6d9b6ba09004c3e016c425820dfac5560360b37a75785"
+        )
+        assert q.batch_key() == (
+            "f898c294625cdd9a8964403c26255a784ce93c5cc106a70b16f1d8921ef527c4"
+        )
 
     def test_deadline_excluded_from_cache_key(self):
         a = ProvisionQuery.from_dict({"topology": "path:16"})

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import networkx as nx
 
 from repro.errors import TopologyError
+from repro.network.dag import DagTopology
 from repro.network.topology import (
     SINK_SUCC,
     Topology,
@@ -16,6 +18,7 @@ from repro.network.topology import (
     caterpillar,
     from_networkx,
     from_parent_array,
+    from_spec,
     path,
     random_tree,
     spider,
@@ -182,6 +185,57 @@ class TestDepths:
         # node 4 leads into the cycle 1 -> 2 -> 3 -> 1
         with pytest.raises(TopologyError, match="cycle"):
             from_parent_array([-1, 2, 3, 1, 1])
+
+
+class TestFromSpec:
+    @given(
+        kind=st.sampled_from(
+            ["path", "spider", "binary", "random", "layered", "diamond"]
+        ),
+        a=st.integers(min_value=1, max_value=9),
+        b=st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_the_checked_node_count_is_the_built_one(self, kind, a, b):
+        """``max_nodes`` is checked against a count worked out before
+        building: the cap must admit exactly the built n, not n - 1."""
+        two_args = kind in ("spider", "layered", "diamond")
+        spec = f"{kind}:{a}x{b}" if two_args else f"{kind}:{a}"
+        if spec in ("path:1", "random:1"):
+            with pytest.raises(TopologyError, match="at least 2"):
+                from_spec(spec)
+            return
+        n = from_spec(spec).n
+        assert from_spec(spec, max_nodes=n).n == n
+        with pytest.raises(TopologyError, match="more than"):
+            from_spec(spec, max_nodes=n - 1)
+
+    @pytest.mark.parametrize("spec, cls, n", [
+        ("path", Topology, 256),
+        ("path:8", Topology, 8),
+        ("spider:8x16", Topology, 130),
+        ("binary:7", Topology, 255),
+        ("random:300", Topology, 300),
+        ("layered:3x4", DagTopology, 13),
+        ("diamond:3x8", DagTopology, 25),
+    ])
+    def test_kinds(self, spec, cls, n):
+        topo = from_spec(spec)
+        assert isinstance(topo, cls) and topo.n == n
+        assert from_spec(spec) is topo  # memoised
+
+    @pytest.mark.parametrize("spec", [
+        "foo:3", "ring:9", "", "spider:3", "spider:3x4x5", "binary:-1",
+        "binary:0", "path:x", "random:", "layered:0x3", "diamond:2x",
+        "spider:0x3", "random:1",
+    ])
+    def test_bad_specs_are_refused(self, spec):
+        with pytest.raises(TopologyError):
+            from_spec(spec)
+
+    def test_a_huge_depth_is_refused_without_the_power(self):
+        with pytest.raises(TopologyError, match="more than 16384"):
+            from_spec("binary:1000000000000", max_nodes=16384)
 
 
 class TestQueries:
