@@ -7,12 +7,17 @@ lanes, timed by ``repro.runner.perf.fleet_throughput``), the
 packet-tracking simulator, the tree policy evaluation, the certifier
 overhead and the recursive attack.  They exist so performance regressions in the
 substrate are visible independently of the experiment-level timings.
+
+The engine benches run seeded random traffic (the perf record's
+``_random_traffic``, built outside the timed region), which never
+repeats: on a repeating workload such as a far-end stream the kernel's
+steady-state fast-forward skips the laps it has already seen, and a
+bench would time the cycle detector instead of the simulated steps.
 """
 
 from __future__ import annotations
 
 from repro.adversaries import (
-    FarEndAdversary,
     RecursiveLowerBoundAttack,
     SeesawAdversary,
     UniformRandomAdversary,
@@ -31,13 +36,19 @@ from repro.network.topology import (
 )
 from repro.network.tree_engine import TreeEngine
 from repro.policies import GreedyPolicy, OddEvenPolicy, TreeOddEvenPolicy
+from repro.runner.perf import _random_traffic
+
+
+# a script re-arms on reset, so one instance serves every round
+_PATH_4096 = _random_traffic(path(4096), 2000, seed=0)
+_PATH_512 = _random_traffic(path(512), 2000, seed=0)
 
 
 def test_bench_fast_engine_4096_nodes(benchmark):
     """Vectorised Odd-Even steps on a 4096-node path."""
 
     def run():
-        engine = PathEngine(4096, OddEvenPolicy(), SeesawAdversary())
+        engine = PathEngine(4096, OddEvenPolicy(), _PATH_4096)
         engine.run(2000)
         return engine.max_height
 
@@ -45,11 +56,11 @@ def test_bench_fast_engine_4096_nodes(benchmark):
 
 
 def test_bench_fast_engine_batched_run(benchmark):
-    """run() through the batched fast path (schedule-capable far-end
-    adversary): injections precomputed, no per-step python dispatch."""
+    """run() through the batched fast path (a published schedule):
+    injections precomputed, no per-step python dispatch."""
 
     def run():
-        engine = PathEngine(4096, OddEvenPolicy(), FarEndAdversary())
+        engine = PathEngine(4096, OddEvenPolicy(), _PATH_4096)
         engine.run(2000)
         return engine.metrics.injected
 
@@ -57,11 +68,11 @@ def test_bench_fast_engine_batched_run(benchmark):
 
 
 def test_bench_fast_engine_per_step_baseline(benchmark):
-    """The same far-end workload stepped round by round — the baseline
-    the batched path is compared against in BENCH records."""
+    """The same workload stepped round by round — the baseline the
+    batched path is compared against in BENCH records."""
 
     def run():
-        engine = PathEngine(4096, OddEvenPolicy(), FarEndAdversary())
+        engine = PathEngine(4096, OddEvenPolicy(), _PATH_4096)
         for _ in range(2000):
             engine.step()
         return engine.metrics.injected
@@ -70,12 +81,12 @@ def test_bench_fast_engine_per_step_baseline(benchmark):
 
 
 def test_bench_push_back_cascade(benchmark):
-    """Finite buffers with cascading push-back refusals on a path under
-    a saturating stream: the settle step finds the refusals, then
-    resolve_push_back sweeps right to left."""
+    """Finite buffers with push-back refusals on a path under random
+    traffic: the settle step finds the refusals, then resolve_push_back
+    sweeps right to left."""
 
     def run():
-        engine = PathEngine(512, GreedyPolicy(), FarEndAdversary(),
+        engine = PathEngine(512, GreedyPolicy(), _PATH_512,
                             buffer_capacity=2, overflow="push-back")
         engine.run(2000)
         return engine.metrics.injected
@@ -116,15 +127,18 @@ def test_bench_tree_policy_binary_depth8(benchmark):
 _BINARY_2047 = balanced_tree(2, 10)          # n = 2047 >= 2**10
 _CATERPILLAR_1026 = caterpillar(512, 2)      # long spine + legs
 _RANDOM_2048 = random_tree(2048, seed=5)     # random recursive tree
+_BINARY_TRAFFIC = _random_traffic(_BINARY_2047, 2000, seed=0)
+_CATERPILLAR_TRAFFIC = _random_traffic(_CATERPILLAR_1026, 2000, seed=0)
+_RANDOM_TRAFFIC = _random_traffic(_RANDOM_2048, 2000, seed=0)
 
 
 def test_bench_tree_engine_binary_2047(benchmark):
-    """TreeEngine on a 2047-node balanced binary tree, far-end stream
+    """TreeEngine on a 2047-node balanced binary tree, random traffic
     (the acceptance workload: >= 5x the Simulator pair below)."""
 
     def run():
         engine = TreeEngine(_BINARY_2047, TreeOddEvenPolicy(),
-                            FarEndAdversary())
+                            _BINARY_TRAFFIC)
         engine.run(2000)
         return engine.metrics.delivered
 
@@ -136,7 +150,7 @@ def test_bench_simulator_binary_2047(benchmark):
 
     def run():
         sim = Simulator(_BINARY_2047, TreeOddEvenPolicy(),
-                        FarEndAdversary(), validate=False)
+                        _BINARY_TRAFFIC, validate=False)
         sim.run(2000)
         return sim.metrics.delivered
 
@@ -144,11 +158,11 @@ def test_bench_simulator_binary_2047(benchmark):
 
 
 def test_bench_tree_engine_caterpillar(benchmark):
-    """TreeEngine on a 1026-node caterpillar, far-end stream."""
+    """TreeEngine on a 1026-node caterpillar, random traffic."""
 
     def run():
         engine = TreeEngine(_CATERPILLAR_1026, TreeOddEvenPolicy(),
-                            FarEndAdversary())
+                            _CATERPILLAR_TRAFFIC)
         engine.run(2000)
         return engine.metrics.delivered
 
@@ -160,7 +174,7 @@ def test_bench_simulator_caterpillar(benchmark):
 
     def run():
         sim = Simulator(_CATERPILLAR_1026, TreeOddEvenPolicy(),
-                        FarEndAdversary(), validate=False)
+                        _CATERPILLAR_TRAFFIC, validate=False)
         sim.run(2000)
         return sim.metrics.delivered
 
@@ -172,7 +186,7 @@ def test_bench_tree_engine_random_2048(benchmark):
 
     def run():
         engine = TreeEngine(_RANDOM_2048, TreeOddEvenPolicy(),
-                            FarEndAdversary())
+                            _RANDOM_TRAFFIC)
         engine.run(2000)
         return engine.metrics.delivered
 
@@ -184,7 +198,7 @@ def test_bench_simulator_random_2048(benchmark):
 
     def run():
         sim = Simulator(_RANDOM_2048, TreeOddEvenPolicy(),
-                        FarEndAdversary(), validate=False)
+                        _RANDOM_TRAFFIC, validate=False)
         sim.run(2000)
         return sim.metrics.delivered
 
@@ -198,7 +212,7 @@ def test_bench_tree_engine_push_back(benchmark):
 
     def run():
         engine = TreeEngine(_CATERPILLAR_1026, GreedyPolicy(),
-                            FarEndAdversary(), buffer_capacity=2,
+                            _CATERPILLAR_TRAFFIC, buffer_capacity=2,
                             overflow="push-back")
         engine.run(2000)
         return engine.metrics.injected
@@ -248,7 +262,7 @@ def test_bench_trace_recording_overhead(benchmark):
 
     def run():
         trace = TraceRecorder()
-        engine = PathEngine(512, OddEvenPolicy(), SeesawAdversary(),
+        engine = PathEngine(512, OddEvenPolicy(), _PATH_512,
                             trace=trace)
         engine.run(500)
         return len(trace)
@@ -287,17 +301,18 @@ def _layered_1025():
 
 
 _LAYERED_1025 = _layered_1025()
+_LAYERED_TRAFFIC = _random_traffic(_LAYERED_1025, 400, seed=0)
 
 
 def test_bench_dag_engine_layered_1025(benchmark):
-    """Vectorised DagEngine on the 1025-node layered DAG, far-end
-    stream (the acceptance workload: >= 5x the loop pair below)."""
+    """Vectorised DagEngine on the 1025-node layered DAG, random
+    traffic (the acceptance workload: >= 5x the loop pair below)."""
     from repro.network.dag_engine import DagEngine
     from repro.policies.dag import DagOddEvenPolicy
 
     def run():
         engine = DagEngine(_LAYERED_1025, DagOddEvenPolicy(),
-                           FarEndAdversary())
+                           _LAYERED_TRAFFIC)
         engine.run(400)
         return engine.metrics.delivered
 
@@ -311,7 +326,7 @@ def test_bench_dag_loop_engine_layered_1025(benchmark):
 
     def run():
         engine = DagLoopEngine(_LAYERED_1025, DagOddEvenPolicy(),
-                               FarEndAdversary())
+                               _LAYERED_TRAFFIC)
         engine.run(400)
         return engine.metrics.delivered
 
@@ -327,7 +342,7 @@ def test_bench_dag_engine_push_back(benchmark):
 
     def run():
         engine = DagEngine(_LAYERED_1025, DagGreedyPolicy(),
-                           FarEndAdversary(), buffer_capacity=2,
+                           _LAYERED_TRAFFIC, buffer_capacity=2,
                            overflow="push-back")
         engine.run(400)
         return engine.metrics.injected

@@ -65,6 +65,14 @@ class SeesawAdversary(Adversary):
         rel = step - self._start
         return (self._far,) if rel < self._fill else (self._pre,)
 
+    def inject_schedule(self, start, steps, topology):
+        # the phase depends on the step alone: `fill` far-end batches
+        # from the first step asked for, then the pre-sink forever
+        if self._start is None:
+            self._start = start
+        far = min(max(self._fill - (start - self._start), 0), steps)
+        return [(self._far,)] * far + [(self._pre,)] * (steps - far)
+
 
 class PressureAdversary(Adversary):
     """Anti-Downhill-or-Flat: keep the plateau next to the sink fed.
@@ -79,6 +87,7 @@ class PressureAdversary(Adversary):
     """
 
     name = "pressure"
+    heights_only = True
 
     def __init__(self) -> None:
         self._order: np.ndarray | None = None
@@ -109,6 +118,8 @@ class PlateauAdversary(Adversary):
     and the E5 lower-bound exhibit: repeatedly sweeps injection from the
     plateau's left edge towards the sink.
     """
+
+    heights_only = True
 
     def __init__(self, width: int):
         if width < 1:
@@ -143,6 +154,7 @@ class MaxHeightChaserAdversary(Adversary):
     """
 
     name = "max-chaser"
+    heights_only = True
 
     def inject(self, step, heights, topology):
         masked = heights.copy()
@@ -166,6 +178,7 @@ class BackfillAdversary(Adversary):
     """
 
     name = "backfill"
+    heights_only = True
 
     def inject(self, step, heights, topology):
         masked = heights.copy()

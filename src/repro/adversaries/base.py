@@ -36,6 +36,12 @@ class Adversary(ABC):
     """
 
     name: str = "abstract"
+    #: ``inject`` reads only the heights (and the topology): equal
+    #: heights get equal sites whatever the step, and no state changes.
+    #: An engine may then fast-forward a run whose configuration
+    #: repeats (see :meth:`repro.network.dag_engine._DagEngineCore.run`);
+    #: the default never allows it.
+    heights_only: bool = False
 
     def reset(self, topology: Topology, capacity: int) -> None:
         """Called once before a run starts; stateful adversaries re-arm."""
@@ -58,12 +64,13 @@ class Adversary(ABC):
         batches, for steps ``start .. start + steps - 1``.
 
         Height-independent adversaries (whose choices never depend on
-        the configuration) may override this so that
-        :meth:`repro.network.engine_fast.PathEngine.run` can precompute
-        the whole schedule once and skip per-step Python dispatch on
-        its hot loop.  Returning ``None`` — the default, and the only
-        correct answer for adaptive adversaries — makes the engine fall
-        back to per-step :meth:`inject`.
+        the configuration) may override this so that the kernel's
+        batched :meth:`~repro.network.dag_engine._DagEngineCore.run`
+        can precompute the whole schedule once, skip per-step dispatch
+        and rate re-validation on its hot loop, and find a repeating
+        schedule's period.  Returning ``None`` — the default, and the
+        only correct answer for adaptive adversaries — makes the engine
+        ask :meth:`inject` step by step, from the live heights.
 
         An implementation must leave the adversary in exactly the state
         ``steps`` sequential :meth:`inject` calls would, so batched and

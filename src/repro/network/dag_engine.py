@@ -16,10 +16,16 @@ there once:
 * the settle step behind :meth:`~_DagEngineCore.step` and the dense
   loop: move, then find refusals once; push-back transfers settle
   receiver-first in :func:`resolve_push_back`, for refusing runs only;
-* the batched :meth:`~_DagEngineCore.run` over
-  :meth:`~repro.adversaries.base.Adversary.inject_schedule`: one
-  schedule flattener, a sparse-occupancy loop skeleton and one dense
-  numpy loop, whose per-run records serve one run and a fleet alike;
+* the batched :meth:`~_DagEngineCore.run`, how every engine advances
+  many rounds: one schedule flattener, a sparse-occupancy loop skeleton
+  and one dense numpy loop, whose per-run records serve one run and a
+  fleet alike.  A published
+  :meth:`~repro.adversaries.base.Adversary.inject_schedule` is
+  flattened once, an adaptive adversary is asked step by step inside
+  the dense loop, and a fault plan's quiet stretches run batched;
+* the steady-state fast-forward (:class:`_Lap`): a run whose policy
+  keeps no state and whose injections repeat skips the laps of a
+  configuration it has already visited;
 * ``result()``, one capacity and conservation check, and the checkpoint
   quartet, whose ``restore`` refuses a checkpoint that does not fit the
   engine.
@@ -52,8 +58,10 @@ from __future__ import annotations
 
 import copy
 import heapq
+import itertools
+import operator
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, Literal, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -102,12 +110,22 @@ _SHORT_BATCH = 16
 #: ``rule(heights, occupied)`` -> the step's (sender, receiver) moves
 SparseRule = Callable[[list[int], set[int]], list[tuple[int, int]]]
 
+#: how many candidate periods :func:`_schedule_period` tries
+_PERIOD_TRIES = 4
+
+#: a :class:`_Lap` compares at most every this many steps (a multiple
+#: of the period), so a period-1 run pays one check per 16 steps
+_LAP_STRIDE = 16
+
 
 class DagPolicy(ABC):
     """Forwarding rule for DAGs: pick an out-edge (or hold) per node."""
 
     name: str = "abstract-dag"
     locality: int | None = 1
+    #: ``choose`` is a function of the heights alone (see
+    #: :attr:`repro.policies.base.ForwardingPolicy.stateless`)
+    stateless: bool = False
 
     def reset(self, dag: DagTopology) -> None:
         """Hook called once before a run."""
@@ -273,6 +291,62 @@ def _record_overflow(
             drops[(node, "overflow")] = drops.get((node, "overflow"), 0) + k
 
 
+def _schedule_period(batches: list) -> tuple[int, int] | None:
+    """``(start, period)`` such that ``batches[t]`` and
+    ``batches[t + period]`` are one batch for every ``t >= start``, or
+    ``None`` when no tail of the schedule repeats.
+
+    ``batches`` are one run's flattened batches, in which equal sites
+    are one tuple object, so ``==`` between them compares identities.
+    The candidate periods are the distances from the last batch back to
+    its earlier occurrences, nearest first; one is taken when the last
+    two periods agree, and its tail is then extended backwards as far
+    as it repeats (a binary search: every suffix of a repeating tail
+    repeats).
+    """
+    size = len(batches)
+    if size < 2:
+        return None
+    rev = batches[::-1]
+    p = 0
+    for _ in range(_PERIOD_TRIES):
+        try:
+            p = rev.index(rev[0], p + 1)
+        except ValueError:
+            return None
+        if 2 * p > size:
+            return None
+        if rev[:p] == rev[p:2 * p]:
+            break
+    else:
+        return None
+    if batches[:size - p] == batches[p:]:
+        return 0, p
+    lo, hi = 1, size - 2 * p
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if batches[mid:size - p] == batches[mid + p:]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, p
+
+
+def _advance(it: Any, k: int) -> None:
+    """Consume ``k`` items of the iterator ``it``."""
+    next(itertools.islice(it, k, k), None)
+
+
+def _observes(policy: Any) -> bool:
+    """Does ``policy`` override the documented no-op
+    ``observe_injections``?"""
+    from ..policies.base import ForwardingPolicy
+
+    return type(policy).observe_injections not in (
+        ForwardingPolicy.observe_injections, DagPolicy.observe_injections,
+    )
+
+
 #: a run's records, named as :class:`~repro.network.simulator.RunResult`
 #: fields
 _RECORDS = (
@@ -378,6 +452,95 @@ class _Rows:
         self._set(np.array([cp[key] for key in _RECORDS]))
         for led, snap in zip(self.ledgers, cp["ledgers"]):
             led.restore(snap)
+
+
+class _Lap:
+    """Steady-state detection for one run of the batched loops.
+
+    From step ``start`` on, the loop's injections repeat with period
+    ``period`` and its policy keeps no state, so a configuration is the
+    heights plus the step's phase: two in-phase configurations with
+    equal heights have equal futures.  The loop offers its heights to
+    :meth:`check` every :attr:`stride` steps from :attr:`next` on — the
+    least multiple of the period that is at least :data:`_LAP_STRIDE`.
+    The anchor they are compared with doubles its distance as in
+    Brent's cycle detection, and the array comparison sits behind a
+    scalar one — equal heights hold as many packets, and the packets in
+    flight are what came in minus what left — so a run whose backlog
+    keeps changing does no array work.
+
+    ``fed`` is the number of packets one period injects, or ``None``
+    when the loop counts its injections and passes the count to
+    :meth:`check`; ``ledger`` is the run's loss ledger when packets can
+    drop (finite buffers).  On a repeat the loop skips the whole laps
+    that fit before step ``end``: :meth:`repeat` adds their drops to the
+    ledger, and the loop advances its step, delivered and injected
+    counts by the laps times a lap's.  Heights, per-node maxima and the
+    max-height records stay as they are: every skipped configuration
+    was already observed, and a record moves only on a strictly greater
+    height.
+    """
+
+    def __init__(
+        self, start: int, period: int, now: int, end: int, *,
+        fed: int | None = None, ledger: LossLedger | None = None,
+        listed: bool = False,
+    ) -> None:
+        self.stride = stride = period * -(-_LAP_STRIDE // period)
+        # the first in-phase step after ``now``
+        self.next = start if start > now else (
+            now + ((start - now) % stride or stride)
+        )
+        self.end = end
+        self.fed = None if fed is None else fed * (stride // period)
+        self.ledger = ledger
+        self._copy, self._same = (
+            (list.copy, operator.eq) if listed
+            else (np.ndarray.copy, np.array_equal)
+        )
+        self._power = 1
+        self._lam = 0
+        self._anchor: Any = None
+        self.skipped = False
+
+    def check(self, heights: Any, delivered: Any, came: int = 0) -> int:
+        """The lap length, in steps, if ``heights`` repeat the anchor's
+        configuration; else 0 (and the anchor may move).  ``delivered``
+        counts the loop's deliveries so far, ``came`` its injections
+        when :attr:`fed` is ``None``."""
+        dropped = 0 if self.ledger is None else self.ledger.total
+        if self._anchor is not None:
+            self._lam += 1
+            fed = came - self.came if self.fed is None else self._lam * self.fed
+            if (
+                fed == delivered - self.delivered + dropped - self.dropped
+                and self._same(heights, self._anchor)
+            ):
+                return self._lam * self.stride
+            if self._lam < self._power:
+                return 0
+            self._power *= 2
+        self._anchor = self._copy(heights)
+        self.delivered, self.dropped, self.came = delivered, dropped, came
+        self._lam = 0
+        if self.ledger is not None:
+            self.drops = self.ledger.detail()
+        return 0
+
+    def repeat(self, step: int, length: int) -> int:
+        """How many laps of ``length`` steps fit between ``step`` and
+        :attr:`end`; their drops (the anchor's lap's, that many times)
+        go into the ledger."""
+        self.skipped = True
+        laps = (self.end - step) // length
+        if self.ledger is not None:
+            for cause, per_node in self.ledger.detail().items():
+                before = self.drops.get(cause, {})
+                for node, k in per_node.items():
+                    self.ledger.record(
+                        node, cause, laps * (k - before.get(node, 0))
+                    )
+        return laps
 
 
 class _Durable:
@@ -696,48 +859,113 @@ class _DagEngineCore(_Durable):
     def run(self, steps: int) -> "_DagEngineCore":
         """Advance ``steps`` rounds; returns self for chaining.
 
-        When the adversary publishes its injection schedule up front
-        (:meth:`~repro.adversaries.base.Adversary.inject_schedule`) and
-        no per-step instrumentation is active (fault plan, trace,
-        validation, finite buffers), the rounds run through a batched
-        inner loop that skips per-step adversary dispatch and rate
-        re-validation — bit-identical to stepping (pinned by tests),
-        purely a throughput optimisation.
+        How every kernel engine advances many rounds.  Unless a trace or
+        ``validate`` asks for per-step records (then every round is a
+        :meth:`step`), the rounds run through the sparse and dense loops
+        (:meth:`_run_quiet`); under a fault plan only the steps its
+        injector does not report quiet
+        (:meth:`~repro.network.faults.FaultInjector.quiet_steps`) go
+        through :meth:`step`.  Bit-identical to stepping (pinned by
+        tests), and so is the steady-state fast-forward inside the
+        loops (:class:`_Lap`): purely a throughput optimisation.
         """
-        if steps > 0 and self._batchable():
-            schedule = self.adversary.inject_schedule(
-                self.step_index, steps, self.topology
+        if self.trace is not None or self.validate:
+            for _ in range(steps):
+                self.step()
+            return self
+        end = self.step_index + steps
+        while self.step_index < end:
+            quiet = end - self.step_index
+            if self.faults is not None:
+                quiet = self.faults.quiet_steps(self.step_index, quiet)
+            if quiet:
+                self._run_quiet(quiet)
+            else:
+                self.step()
+        return self
+
+    def _run_quiet(self, steps: int) -> None:
+        """``steps`` rounds no fault touches: the sparse loop while it
+        can, then the dense loop.
+
+        A published schedule is flattened once; an adversary that
+        publishes none is asked inside the dense loop (:meth:`_live`).
+        A run whose policy keeps no state (its ``stateless``
+        declaration, and no ``observe_injections``) and records no
+        series is watched for a repeat when its schedule has a
+        repeating tail (:func:`_schedule_period`) or its adversary
+        declares ``heights_only`` (period 1).
+        """
+        adv = self.adversary
+        start, end = self.step_index, self.step_index + steps
+        schedule = (
+            None if adv is None
+            else adv.inject_schedule(start, steps, self.topology)
+        )
+        cap = self.buffer_capacity
+        series = self.metrics.series.enabled
+        watch = (
+            not series and getattr(self.policy, "stateless", False)
+            and not _observes(self.policy)
+        )
+        ledger = None if cap is None else self.metrics.ledger
+        if schedule is None and adv is not None:
+            came = [0]
+            lap = (
+                _Lap(start, 1, start, end, ledger=ledger)
+                if watch and adv.heights_only else None
             )
-            if schedule is not None:
-                return self._run_batched(schedule, steps)
-        for _ in range(steps):
-            self.step()
-        return self
-
-    def _batchable(self) -> bool:
-        """Is the batched inner loop observably identical to step()?"""
-        return (
-            self.adversary is not None
-            and self.faults is None
-            and self.trace is None
-            and not self.validate
-            and self.buffer_capacity is None
-        )
-
-    def _run_batched(self, schedule, steps: int) -> "_DagEngineCore":
-        """The hot loop behind :meth:`run` for precomputed schedules:
-        the sparse loop while it can, then the dense loop."""
+            self._run_rows(self._live(end, came), None, lap, came)
+            return
         batches, _ = self._flatten(
-            [(self.adversary, schedule, self.injection_limit)], steps
+            [None if adv is None else (adv, schedule, self.injection_limit)],
+            steps,
         )
-        rule = None if self.metrics.series.enabled else self._sparse_rule()
+        period = _schedule_period(batches) if watch else None
+        if period is not None:
+            first, p = period
+            # every in-phase window of the tail injects as many packets
+            fed = sum(map(len, batches[first:first + p]))
+        rule = None if series or cap is not None else self._sparse_rule()
         if rule is not None:
-            batches = batches[self._run_sparse(batches, rule):]
-        if batches:
-            rows = _Rows.of(self.metrics)
-            self._run_dense(batches, rows, sum(map(len, batches)))
+            lap = None if period is None else _Lap(
+                start + first, p, start, end, listed=True
+            )
+            batches = batches[self._run_sparse(batches, rule, lap):]
+            if lap is not None and lap.skipped:
+                period = None
+        if not batches:
+            return
+        lap = None if period is None else _Lap(
+            start + first, p, self.step_index, end, fed=fed, ledger=ledger
+        )
+        self._run_rows(batches, sum(map(len, batches)), lap)
+
+    def _run_rows(
+        self, batches: Iterable, injected: Any, lap: _Lap | None,
+        came: list[int] | None = None,
+    ) -> None:
+        """One run's dense loop, with its records in a one-column view
+        of the metrics, committed even if a step raises."""
+        rows = _Rows.of(self.metrics)
+        try:
+            self._run_dense(batches, rows, injected, lap, came)
+        finally:
             rows.into(self.metrics)
-        return self
+
+    def _live(self, end: int, came: list[int]):
+        """The adversary's sites for every step before ``end``, asked
+        from the live heights and validated as :meth:`step` validates
+        them; ``came[0]`` tallies them."""
+        adv, topo, limit = self.adversary, self.topology, self.injection_limit
+        h = self.heights
+        while self.step_index < end:
+            sites = validate_injections(
+                adv.inject(self.step_index, h, topo), topo, limit,
+                step=self.step_index,
+            )
+            came[0] += len(sites)
+            yield sites
 
     def _flatten(
         self, lanes: list[tuple[Any, Sequence, int] | None], steps: int,
@@ -808,9 +1036,10 @@ class _DagEngineCore(_Durable):
     def _land(
         self, flat: np.ndarray, sites, ledgers: list[LossLedger]
     ) -> None:
-        """Inject a long batch, or any under finite buffers, where an
-        arrival at a full node drops with cause ``"overflow"`` (push-back
-        too: adversary traffic has no upstream sender to hold it)."""
+        """Inject a fleet's long batch (an array of flat sites); under
+        finite buffers an arrival at a full node drops with cause
+        ``"overflow"`` (push-back too: adversary traffic has no upstream
+        sender to hold it), as on the dense loop's per-site path."""
         cap = self.buffer_capacity
         if cap is None:
             np.add.at(flat, sites, 1)
@@ -824,22 +1053,23 @@ class _DagEngineCore(_Durable):
         flat += admitted.astype(flat.dtype)
         _record_overflow(ledgers, arrivals - admitted)
 
-    def _run_dense(self, batches: list, rows: _Rows, injected) -> None:
+    def _run_dense(
+        self, batches: Iterable, rows: _Rows, injected: Any,
+        lap: _Lap | None = None, came: list[int] | None = None,
+    ) -> None:
         """The dense batched loop over one run's ``(n,)`` heights or a
-        fleet's ``(n, runs)`` matrix: ``batches`` from :meth:`_flatten`
-        inject ``injected`` packets per run, recorded into ``rows``
-        (every step under ``validate``, and checked)."""
-        from ..policies.base import ForwardingPolicy
+        fleet's ``(n, runs)`` matrix, recorded into ``rows`` (every step
+        under ``validate``, and checked).
 
-        # the base observe_injections is a documented no-op: skip the
-        # per-step call unless the policy actually overrides it
+        ``batches`` from :meth:`_flatten` inject ``injected`` packets per
+        run; batches from :meth:`_live` inject as many as ``came[0]``
+        tallies (``injected`` is then ``None``).  ``lap`` watches one run
+        for a repeat and skips its laps (:class:`_Lap`).  The totals are
+        committed even if a step raises.
+        """
         observe = (
-            None
-            if type(self.policy).observe_injections in (
-                ForwardingPolicy.observe_injections,
-                DagPolicy.observe_injections,
-            )
-            else self.policy.observe_injections
+            self.policy.observe_injections if _observes(self.policy)
+            else None
         )
         h = self.heights
         flat = h.reshape(-1)
@@ -854,37 +1084,65 @@ class _DagEngineCore(_Durable):
         series = self.metrics.series if self.metrics.series.enabled else None
         validate = self.validate
         delivered: Any = 0
-        for sites in batches:
-            if observe is not None:
-                observe(sites)
-            if pre:
-                sends, receivers = decide(h)
-            if cap is None and type(sites) is tuple:
-                for i in sites:
-                    flat[i] += 1
-            else:
-                land(flat, sites, ledgers)
-            if not pre:
-                sends, receivers = decide(h)
-            delivered = delivered + settle(h, sends, receivers, ledgers)[0]
-            self.step_index += 1
-            np.maximum(per_node_max, h, out=per_node_max)
-            if h.max() > rows.low:
-                rows.observe(h, self.step_index)
-            if series is not None:
-                series.observe(self.step_index, h)
-            if validate:
-                rows.injected += np.bincount(
-                    np.asarray(sites, dtype=np.int64) % runs, minlength=runs
-                )
+        nxt = -1 if lap is None else lap.next
+        it = iter(batches)
+        try:
+            for sites in it:
+                if observe is not None:
+                    observe(sites)
+                if pre:
+                    sends, receivers = decide(h)
+                if type(sites) is not tuple:
+                    land(flat, sites, ledgers)
+                elif cap is None:
+                    for i in sites:
+                        flat[i] += 1
+                else:
+                    # push-back buffers drop-tail adversary traffic too
+                    for i in sites:
+                        if flat[i] < cap:
+                            flat[i] += 1
+                        else:
+                            ledgers[i % runs].record(i // runs, "overflow")
+                if not pre:
+                    sends, receivers = decide(h)
+                delivered = delivered + settle(h, sends, receivers, ledgers)[0]
+                self.step_index += 1
+                np.maximum(per_node_max, h, out=per_node_max)
+                if h.max() > rows.low:
+                    rows.observe(h, self.step_index)
+                if series is not None:
+                    series.observe(self.step_index, h)
+                if validate:
+                    rows.injected += np.bincount(
+                        np.asarray(sites, dtype=np.int64) % runs,
+                        minlength=runs,
+                    )
+                    rows.delivered += delivered
+                    delivered = 0
+                    rows.check(h, cap, self.step_index)
+                if self.step_index == nxt:
+                    nxt += lap.stride  # type: ignore[union-attr]
+                    length = lap.check(  # type: ignore[union-attr]
+                        h, delivered, 0 if came is None else came[0]
+                    )
+                    if length:
+                        nxt = -1
+                        laps = lap.repeat(self.step_index, length)
+                        self.step_index += laps * length
+                        delivered = delivered + laps * (delivered - lap.delivered)
+                        if came is None:
+                            _advance(it, laps * length)
+                        else:
+                            came[0] += laps * (came[0] - lap.came)
+        finally:
+            if not validate:
+                rows.injected += injected if came is None else came[0]
                 rows.delivered += delivered
-                delivered = 0
-                rows.check(h, cap, self.step_index)
-        if not validate:
-            rows.injected += injected
-            rows.delivered += delivered
 
-    def _run_sparse(self, batches: list, rule: SparseRule) -> int:
+    def _run_sparse(
+        self, batches: list, rule: SparseRule, lap: _Lap | None = None
+    ) -> int:
         """Sparse inner loop for the bounded policies; returns steps done.
 
         Under a rate-1 adversary those policies keep the backlog at
@@ -904,7 +1162,9 @@ class _DagEngineCore(_Durable):
 
         If occupancy ever exceeds :attr:`_SPARSE_OCCUPANCY_LIMIT` the
         loop stops early and reports how many steps it completed; the
-        caller finishes the rest in the dense loop.
+        caller finishes the rest in the dense loop.  ``lap`` watches the
+        run for a repeat and skips its laps (:class:`_Lap`), which count
+        as steps done.
         """
         h = self.heights
         topo = self.topology
@@ -920,9 +1180,12 @@ class _DagEngineCore(_Durable):
         occ = {v for v in range(topo.n) if hl[v] > 0 and v != sink}
         limit = self._SPARSE_OCCUPANCY_LIMIT
         injected = 0
+        gone = 0  # delivered, for the lap's in-flight check
         in_flight_start = sum(hl)
         done = 0
-        for sites in batches:
+        nxt = -1 if lap is None else lap.next
+        it = iter(batches)
+        for sites in it:
             if len(occ) > limit:
                 break
             if not pre:
@@ -940,6 +1203,8 @@ class _DagEngineCore(_Durable):
                 if u != sink:
                     hl[u] += 1
                     grew.append(u)
+                else:
+                    gone += 1
             for v, _ in moves:
                 if hl[v] == 0:
                     occ.discard(v)
@@ -960,6 +1225,16 @@ class _DagEngineCore(_Durable):
                 cur_max = m
                 argmax_node = min(v for v in grew if hl[v] == m)
                 argmax_step = self.step_index
+            if self.step_index == nxt:
+                nxt += lap.stride  # type: ignore[union-attr]
+                length = lap.check(hl, gone, injected)  # type: ignore[union-attr]
+                if length:
+                    nxt = -1
+                    laps = lap.repeat(self.step_index, length)
+                    _advance(it, laps * length)
+                    self.step_index += laps * length
+                    done += laps * length
+                    injected += laps * (injected - lap.came)
         h[:] = hl
         pnm[:] = pnm_l
         tracker.max_height = cur_max

@@ -45,6 +45,7 @@ Fault semantics (the *fail-stop, persistent-queue* model; see
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -352,6 +353,7 @@ class FaultInjector:
         self._by_start: dict[int, list[FaultEvent]] = {}
         for e in plan.events:
             self._by_start.setdefault(e.start, []).append(e)
+        self._onsets = sorted(self._by_start)
         # mutable, checkpointable state
         self._crash_until: dict[int, int] = {}
         self._link_until: dict[int, int] = {}
@@ -402,8 +404,7 @@ class FaultInjector:
 
         rnd = self.plan.random
         if rnd is not None and rnd.enabled:
-            rng = np.random.default_rng((self.plan.seed, step))
-            draws = rng.random((self.n, 2))
+            draws = self._draws(step)
             for node in range(self.n):
                 if node == self.sink:
                     continue
@@ -432,6 +433,43 @@ class FaultInjector:
             released=released,
             defer=defer,
         )
+
+    def _draws(self, step: int) -> np.ndarray:
+        """The background process's ``(n, 2)`` draws for ``step``: a pure
+        function of ``(seed, step)``."""
+        return np.random.default_rng((self.plan.seed, step)).random((self.n, 2))
+
+    def quiet_steps(self, start: int, limit: int) -> int:
+        """How many of the ``limit`` steps from ``start`` on stay quiet.
+
+        A quiet step is one :meth:`begin_step` would answer with
+        :data:`NO_FAULTS` while changing no state: no outage is active,
+        no event starts, no deferred injection is released, no jitter
+        window is open and the background process draws nothing.  An
+        engine may run such a stretch without calling :meth:`begin_step`
+        at all.  Outages that have already expired are dropped here, as
+        the first of those calls would drop them.
+        """
+        tables = (self._crash_until, self._link_until)
+        if any(until > start for t in tables for until in t.values()):
+            return 0
+        if start < self._jitter_until[0]:
+            return 0
+        for table in tables:
+            table.clear()
+        stop = start + limit
+        at = bisect.bisect_left(self._onsets, start)
+        if at < len(self._onsets):
+            stop = min(stop, self._onsets[at])
+        stop = min([stop, *(t for t in self._pending if t >= start)])
+        rnd = self.plan.random
+        if rnd is not None and rnd.enabled:
+            live = np.arange(self.n) != self.sink
+            for step in range(start, stop):
+                draws = self._draws(step)[live]
+                if (draws < (rnd.p_link_down, rnd.p_crash)).any():
+                    return step - start
+        return stop - start
 
     def defer_injections(
         self, step: int, sites: Iterable[int], delay: int
@@ -474,10 +512,13 @@ def run_with_recovery(
 ) -> int:
     """Drive ``engine`` for ``steps`` rounds, surviving injected halts.
 
-    Takes a full :meth:`snapshot` every ``snapshot_every`` steps; when a
-    :class:`~repro.errors.FaultError` kills the run, restores the most
-    recent snapshot and resumes (the injector remembers fired halts, so
-    the same kill does not recur).  Returns the number of recoveries.
+    Takes a full :meth:`snapshot` every ``snapshot_every`` steps and
+    advances by the engine's ``run()`` in between (the height kernel
+    batches the quiet stretches; a halt still raises before its step
+    mutates any state); when a :class:`~repro.errors.FaultError` kills
+    the run, restores the most recent snapshot and resumes (the
+    injector remembers fired halts, so the same kill does not recur).
+    Returns the number of recoveries.
 
     With ``checkpoint_dir`` the harness is durable across *real*
     process deaths too: every in-memory snapshot is also persisted to
@@ -513,7 +554,10 @@ def run_with_recovery(
     while engine.step_index < target:
         try:
             while engine.step_index < target:
-                engine.step()
+                engine.run(min(
+                    target - engine.step_index,
+                    snapshot_every - engine.step_index % snapshot_every,
+                ))
                 if engine.step_index % snapshot_every == 0:
                     snap = engine.snapshot()
                     if ckpt_path is not None:

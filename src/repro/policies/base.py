@@ -71,11 +71,18 @@ class ForwardingPolicy(ABC):
     max_capacity:
         Largest link capacity the policy is defined for (``None`` means
         any).  The paper's local algorithms assume ``c = 1``.
+    stateless:
+        The policy keeps no state between steps: its decision is a
+        function of the heights alone.  An engine may then fast-forward
+        a run whose configuration repeats (see
+        :meth:`repro.network.dag_engine._DagEngineCore.run`); the
+        default never allows it.
     """
 
     name: str = "abstract"
     locality: int | None = None
     max_capacity: int | None = None
+    stateless: bool = False
 
     def reset(self, topology: Topology) -> None:
         """Hook called once before a run; stateful policies clear here."""
@@ -143,6 +150,7 @@ class PairwisePolicy(ForwardingPolicy):
     """
 
     locality: int | None = 1
+    stateless = True
 
     @abstractmethod
     def forwards(self, h_v: np.ndarray, h_succ: np.ndarray) -> np.ndarray:

@@ -64,6 +64,7 @@ class DagOddEvenPolicy(DagPolicy):
 
     name = "dag-odd-even"
     locality = 1
+    stateless = True
 
     def choose(self, heights: np.ndarray, dag: DagTopology) -> np.ndarray:
         heights = np.asarray(heights)
@@ -84,6 +85,7 @@ class DagGreedyPolicy(DagPolicy):
 
     name = "dag-greedy"
     locality = 1
+    stateless = True
 
     def choose(self, heights: np.ndarray, dag: DagTopology) -> np.ndarray:
         heights = np.asarray(heights)

@@ -136,6 +136,12 @@ class TreeOddEvenPolicy(ForwardingPolicy):
         self.tie_rule: TieRule = tie_rule
         self._rotation = 0
 
+    @property
+    def stateless(self) -> bool:  # type: ignore[override]
+        """Round-robin ties rotate once per step; the other rules keep
+        no state."""
+        return self.tie_rule != "round_robin"
+
     def reset(self, topology: Topology) -> None:
         self._rotation = 0
 

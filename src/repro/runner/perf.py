@@ -71,25 +71,51 @@ def git_rev() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
+def _random_traffic(topology: Any, steps: int, seed: int):
+    """A :class:`~repro.adversaries.ScheduleAdversary` injecting at one
+    seeded uniform non-sink node per step.
+
+    The perf blocks time simulated steps, so their traffic never
+    repeats: on a repeating workload (a far-end stream, a fixed node)
+    the kernel's steady-state fast-forward skips the laps it has seen,
+    and a record would time the cycle detector instead.  The script is
+    built here, outside every timed region.
+    """
+    import numpy as np
+
+    from ..adversaries import ScheduleAdversary
+
+    rng = np.random.default_rng(seed)
+    sites = np.flatnonzero(np.arange(topology.n) != topology.sink)
+    return ScheduleAdversary(
+        {t: (int(v),) for t, v in enumerate(rng.choice(sites, size=steps))}
+    )
+
+
 def engine_throughput(n: int = 256, steps: int = 4000) -> dict[str, Any]:
     """Measure :class:`PathEngine` steps/second, per-step vs batched.
 
-    Runs the same (Odd-Even, far-end) workload twice — once stepping
-    round by round, once through the batched ``run()`` fast path — and
-    asserts the two trajectories are identical before reporting, so a
-    perf record can never be produced by a diverging fast path.
+    Runs the same (Odd-Even, seeded random traffic) workload twice —
+    once stepping round by round, once through the batched ``run()``
+    fast path — and asserts the two trajectories are identical before
+    reporting, so a perf record can never be produced by a diverging
+    fast path.
     """
-    from ..adversaries import FarEndAdversary
     from ..network.engine_fast import PathEngine
+    from ..network.topology import path
     from ..policies import OddEvenPolicy
 
-    per_step = PathEngine(n, OddEvenPolicy(), FarEndAdversary())
+    per_step = PathEngine(
+        n, OddEvenPolicy(), _random_traffic(path(n), steps, seed=n)
+    )
+    batched = PathEngine(
+        n, OddEvenPolicy(), _random_traffic(path(n), steps, seed=n)
+    )
     t0 = time.perf_counter()
     for _ in range(steps):
         per_step.step()
     per_step_s = time.perf_counter() - t0
 
-    batched = PathEngine(n, OddEvenPolicy(), FarEndAdversary())
     t0 = time.perf_counter()
     batched.run(steps)
     batched_s = time.perf_counter() - t0
@@ -113,11 +139,11 @@ def tree_engine_throughput(
     """Measure TreeEngine vs Simulator steps/second on a balanced
     binary tree of the given depth (n = 2^(depth+1) - 1).
 
-    Both engines run the same (Algorithm 5, far-end) workload; the
-    height trajectories are asserted identical before reporting, so a
-    perf record can never come from a diverging fast path.
+    Both engines run the same (Algorithm 5, seeded random traffic)
+    workload; the height trajectories are asserted identical before
+    reporting, so a perf record can never come from a diverging fast
+    path.
     """
-    from ..adversaries import FarEndAdversary
     from ..network.simulator import Simulator
     from ..network.topology import balanced_tree
     from ..network.tree_engine import TreeEngine
@@ -125,14 +151,17 @@ def tree_engine_throughput(
 
     topo = balanced_tree(2, depth)
     sim = Simulator(
-        topo, TreeOddEvenPolicy(), FarEndAdversary(), validate=False
+        topo, TreeOddEvenPolicy(), _random_traffic(topo, steps, depth),
+        validate=False,
+    )
+    eng = TreeEngine(
+        topo, TreeOddEvenPolicy(), _random_traffic(topo, steps, depth)
     )
     t0 = time.perf_counter()
     for _ in range(steps):
         sim.step()
     sim_s = time.perf_counter() - t0
 
-    eng = TreeEngine(topo, TreeOddEvenPolicy(), FarEndAdversary())
     t0 = time.perf_counter()
     eng.run(steps)
     eng_s = time.perf_counter() - t0
@@ -158,23 +187,26 @@ def dag_engine_throughput(
     DAG of ``1 + layers × width`` nodes (the defaults give n = 1025,
     the n ≥ 2¹⁰ regime E17's bounded-behaviour sweeps live in).
 
-    Both engines run the same (DAG Odd-Even, far-end) workload; the
-    height trajectories and metric counters are asserted identical
-    before reporting, so a perf record can never come from a diverging
-    vectorised engine.
+    Both engines run the same (DAG Odd-Even, seeded random traffic)
+    workload; the height trajectories and metric counters are asserted
+    identical before reporting, so a perf record can never come from a
+    diverging vectorised engine.
     """
-    from ..adversaries import FarEndAdversary
     from ..network.dag import layered_dag
     from ..network.dag_engine import DagEngine, DagLoopEngine
     from ..policies.dag import DagOddEvenPolicy
 
     dag = layered_dag(layers, width, out_degree=2, seed=1)
-    loop = DagLoopEngine(dag, DagOddEvenPolicy(), FarEndAdversary())
+    loop = DagLoopEngine(
+        dag, DagOddEvenPolicy(), _random_traffic(dag, steps, seed=1)
+    )
+    eng = DagEngine(
+        dag, DagOddEvenPolicy(), _random_traffic(dag, steps, seed=1)
+    )
     t0 = time.perf_counter()
     loop.run(steps)
     loop_s = time.perf_counter() - t0
 
-    eng = DagEngine(dag, DagOddEvenPolicy(), FarEndAdversary())
     t0 = time.perf_counter()
     eng.run(steps)
     eng_s = time.perf_counter() - t0
@@ -202,32 +234,34 @@ def fleet_throughput(
 
     The baseline is the batched :class:`PathEngine` ``run()`` fast path
     on ``sample`` representative lanes of the same sweep (each lane is
-    a fixed-node workload at a distinct site), extrapolated to the full
-    ``runs``; the fleet then advances all ``runs`` lanes at once.  The
-    sampled lanes' trajectories are asserted identical to the fleet's
+    its own seeded random traffic), extrapolated to the full ``runs``;
+    the fleet then advances all ``runs`` lanes at once.  The sampled
+    lanes' trajectories are asserted identical to the fleet's
     corresponding rows before reporting, so a perf record can never be
     produced by a diverging fleet kernel.  Both rates count *lane*
     steps (``runs × steps`` total work) per second.
     """
-    from ..adversaries import FixedNodeAdversary
     from ..network.engine_fast import PathEngine
     from ..network.fleet_engine import FleetEngine
+    from ..network.topology import path
     from ..policies import OddEvenPolicy
 
     sample = min(sample, runs)
-    sites = [r % (n - 1) for r in range(runs)]
     sampled = list(range(0, runs, max(1, runs // sample)))[:sample]
+    topo = path(n)
 
-    lanes = []
+    lanes = [
+        PathEngine(n, OddEvenPolicy(), _random_traffic(topo, steps, r))
+        for r in sampled
+    ]
     t0 = time.perf_counter()
-    for r in sampled:
-        eng = PathEngine(n, OddEvenPolicy(), FixedNodeAdversary(sites[r]))
+    for eng in lanes:
         eng.run(steps)
-        lanes.append(eng)
     per_run_s = (time.perf_counter() - t0) * (runs / len(sampled))
 
     fleet = FleetEngine(
-        n, OddEvenPolicy(), [FixedNodeAdversary(s) for s in sites]
+        n, OddEvenPolicy(),
+        [_random_traffic(topo, steps, r) for r in range(runs)],
     )
     t0 = time.perf_counter()
     fleet.run(steps)
@@ -265,8 +299,9 @@ def service_throughput(
     """Measure the service's solo vs batched queries/second.
 
     A uniform cache-missing burst of ``queries`` provisioning queries
-    sharing one batch key (far-end adversary, heterogeneous per-lane
-    step budgets so every cache key is distinct) is answered twice
+    sharing one batch key (the seeded ``uniform`` adversary, whose
+    traffic never repeats, with heterogeneous per-lane step budgets so
+    every cache key is distinct) is answered twice
     through the real worker bodies: once per-query via
     :func:`~repro.service.worker.execute_query` (a one-run fleet, which
     steps on its dedicated engine), once coalesced into batches of up
@@ -284,7 +319,7 @@ def service_throughput(
             {
                 "topology": f"path:{n}",
                 "policy": "odd-even",
-                "adversary": "far-end",
+                "adversary": "uniform",
                 "steps": base_steps + i,
                 "seed": i,
             }

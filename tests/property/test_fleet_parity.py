@@ -20,7 +20,7 @@ import functools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.adversaries import ScheduleAdversary, SeesawAdversary
+from repro.adversaries import MaxHeightChaserAdversary, ScheduleAdversary
 from repro.network.buffers import Overflow
 from repro.network.engine_fast import PathEngine
 from repro.network.faults import FaultEvent, FaultKind, FaultPlan
@@ -173,7 +173,7 @@ def test_mixed_vectorised_and_fallback_lanes(cfg):
     """An adaptive adversary (no publishable schedule) drops its lane
     to per-run stepping without disturbing the vectorised rows."""
     n, runs, steps, advs, policy_cls, timing, limits, kw = cfg
-    advs = list(advs) + [SeesawAdversary()]
+    advs = list(advs) + [MaxHeightChaserAdversary()]
     limits = list(limits) + [1]
     if "faults" in kw:
         kw["faults"] = list(kw["faults"]) + [None]

@@ -332,6 +332,7 @@ class TestInjectSchedule:
         lambda: AmplifiedAdversary(FarEndAdversary(), 3),
         lambda: UniformRandomAdversary(p=0.6, seed=11),
         lambda: HotSpotAdversary(2, seed=23),
+        lambda: SeesawAdversary(fill=5),
     ]
 
     @pytest.mark.parametrize("factory", FACTORIES)
@@ -370,11 +371,51 @@ class TestInjectSchedule:
         resumed = [tuple(b.inject(s, h, topo)) for s in range(7, 12)]
         assert batch + resumed == sequential
 
+    @pytest.mark.parametrize("fill", [0, 1, 4, 9])
+    @pytest.mark.parametrize("first", [0, 3])
+    def test_seesaw_schedule_split_at_and_around_fill(self, fill, first):
+        # the phase counts from the first step asked for, whichever
+        # protocol asks; every split point agrees with stepping
+        topo = path(8)
+        h = zero_heights(topo)
+        stepped = SeesawAdversary(fill=fill)
+        stepped.reset(topo, 1)
+        want = [
+            tuple(stepped.inject(s, h, topo))
+            for s in range(first, first + 14)
+        ]
+        for cut in {0, fill - 1, fill, fill + 1, 14}:
+            cut = min(max(cut, 0), 14)
+            adv = SeesawAdversary(fill=fill)
+            adv.reset(topo, 1)
+            head = adv.inject_schedule(first, cut, topo)
+            tail = adv.inject_schedule(first + cut, 14 - cut, topo)
+            assert [tuple(x) for x in head + tail] == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("p", [1.0, 0.6, 0.1])
+    def test_uniform_draws_follow_the_choice_stream(self, seed, p):
+        # one bounded integer per draw consumes the generator exactly
+        # as Generator.choice over the candidates does
+        topo = path(9)
+        rng = np.random.default_rng(seed)
+        cands = np.arange(8)
+        want = [
+            (int(rng.choice(cands)),) if rng.random() < p else ()
+            for _ in range(500)
+        ]
+        a, b = (UniformRandomAdversary(p=p, seed=seed) for _ in range(2))
+        a.reset(topo, 1)
+        b.reset(topo, 1)
+        h = zero_heights(topo)
+        assert [tuple(a.inject(s, h, topo)) for s in range(500)] == want
+        assert [tuple(x) for x in b.inject_schedule(0, 500, topo)] == want
+
     def test_adaptive_adversaries_opt_out(self):
         # height-dependent traffic cannot be precomputed: the base
         # class answers None and the engine falls back to stepping
         topo = path(8)
-        for adv in (SeesawAdversary(), MaxHeightChaserAdversary(),
+        for adv in (MaxHeightChaserAdversary(),
                     PressureAdversary(), BackfillAdversary(),
                     PhasedAdversary([(3, FarEndAdversary())])):
             adv.reset(topo, 1)
@@ -383,7 +424,7 @@ class TestInjectSchedule:
     def test_amplified_inherits_inner_opt_out(self):
         # the wrapper is batchable exactly when the inner adversary is
         topo = path(8)
-        adv = AmplifiedAdversary(SeesawAdversary(), 2)
+        adv = AmplifiedAdversary(BackfillAdversary(), 2)
         adv.reset(topo, 2)
         assert adv.inject_schedule(0, 10, topo) is None
 

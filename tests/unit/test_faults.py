@@ -414,6 +414,9 @@ class TestEngineIntegration:
             def step(self):
                 raise FaultError("always dead")
 
+            def run(self, steps):
+                raise FaultError("always dead")
+
         with pytest.raises(FaultError, match="gave up"):
             run_with_recovery(DoomedEngine(), 10, max_recoveries=2)
 

@@ -18,6 +18,7 @@ import pytest
 from repro.adversaries import (
     FarEndAdversary,
     FixedNodeAdversary,
+    MaxHeightChaserAdversary,
     ScheduleAdversary,
     SeesawAdversary,
     UniformRandomAdversary,
@@ -139,7 +140,7 @@ def test_deterministic_and_stochastic_lanes_vectorise():
 
 
 def test_adaptive_adversary_falls_back():
-    advs = [FarEndAdversary(), SeesawAdversary()]
+    advs = [FarEndAdversary(), MaxHeightChaserAdversary()]
     fleet = FleetEngine(8, OddEvenPolicy(), advs)
     assert fleet.vectorized_runs == (0,)
     assert fleet.fallback_runs == (1,)
