@@ -5,7 +5,7 @@ cache-missing burst served as coalesced FleetEngine batches sustains
 **at least 5x** the queries/second of the solo per-query path, with
 every per-lane answer bit-identical to its solo twin (asserted inside
 :func:`repro.runner.perf.service_throughput` before any number is
-reported).  The window sweep shows how occupancy trades against the
+reported).  The width sweep shows how occupancy trades against the
 speedup — the same table ``docs/performance.md`` reproduces.
 """
 
@@ -31,9 +31,8 @@ def test_bench_service_batching_occupancy_sweep(benchmark):
     """Occupancy sweep: smaller batches still win, monotonically less.
 
     Exercises the same burst at batch widths 8/32/128 — the worker-side
-    analogue of sweeping ``--batch-window-ms`` (a shorter window flushes
-    thinner batches).  Every width must beat solo; the full-width batch
-    must beat the thinnest.
+    analogue of sweeping ``--batch-max-lanes``.  Every width must beat
+    solo; the full-width batch must beat the thinnest.
     """
 
     def sweep():

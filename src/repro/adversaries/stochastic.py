@@ -56,18 +56,55 @@ class UniformRandomAdversary(Adversary):
         return (int(cands[self._rng.integers(0, len(cands))]),)
 
     def inject_schedule(self, start, steps, topology):
-        # replayable: the draws below consume the generator in exactly
-        # the per-step order of inject(), so batched and per-step runs
-        # interleave freely and a fixed seed yields a fixed schedule
-        rng, p = self._rng, self.p
+        """The sites ``steps`` calls of :meth:`inject` would draw, decoded
+        from blocks of the generator's raw 64-bit PCG64 words.
+
+        The stream is the Generator's own, so batched and per-step runs
+        interleave freely and a fixed seed yields a fixed schedule:
+        ``random()`` is one word's top 53 bits; ``integers(0, k)`` takes
+        a 32-bit half — a fresh word's low half first, its high half
+        buffered for the next draw — through Lemire's method (rejected
+        while ``(x * k) mod 2**32 < (2**32 - k) mod k``; the result is
+        ``x * k >> 32``), and consumes nothing when ``k == 1``.  The
+        buffered half is handed back to the generator afterwards.
+        """
+        bits = self._rng.bit_generator
+        state = bits.state
+        has, half = state["has_uint32"], state["uinteger"]
+        p = self.p
         cands = self._candidates.tolist()
         k = len(cands)
+        reject = (2**32 - k) % k
+        words: list[int] = []
+        i = 0
         out: list[tuple[int, ...]] = []
-        for _ in range(steps):
-            if rng.random() >= p:
+        for t in range(steps):
+            # each step left takes at least one word: never over-draws
+            if i == len(words):
+                words, i = bits.random_raw(steps - t).tolist(), 0
+            u = (words[i] >> 11) * 2.0**-53
+            i += 1
+            if u >= p:
                 out.append(())
-            else:
-                out.append((cands[rng.integers(0, k)],))
+                continue
+            if k == 1:
+                out.append((cands[0],))
+                continue
+            while True:
+                if has:
+                    x, has = half, 0
+                else:
+                    if i == len(words):
+                        words, i = bits.random_raw(steps - t).tolist(), 0
+                    x, half, has = words[i] & 0xFFFFFFFF, words[i] >> 32, 1
+                    i += 1
+                m = x * k
+                if m & 0xFFFFFFFF >= reject:
+                    break
+            out.append((cands[m >> 32],))
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = has, half
+        bits.state = state
         return out
 
 

@@ -195,21 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail with 504 instead of answering from the "
                         "nearest cached result / analytic bound when "
                         "the pool is unhealthy")
-    v.add_argument("--batch-window-ms", type=float, default=4.0,
-                   metavar="MS",
-                   help="coalescing window: cache-missing queries "
-                        "sharing a batch key wait up to this long to "
-                        "be served as one FleetEngine call "
-                        "(default 4ms; flushes early on a full batch "
-                        "or a tight member deadline)")
     v.add_argument("--batch-max-lanes", type=int, default=64,
                    metavar="N",
-                   help="flush a forming batch early once it holds "
+                   help="cache-missing queries sharing a batch key "
+                        "form one FleetEngine call while every shard "
+                        "is busy; flush such a batch once it holds "
                         "this many distinct queries (default 64)")
     v.add_argument("--no-batching", action="store_true",
                    help="another way to write --batch-max-lanes 1: "
                         "every cache miss runs at once as a one-lane "
-                        "batch, with no window wait")
+                        "batch, even while every shard is busy")
     v.add_argument("--max-connections", type=int, default=256,
                    metavar="N",
                    help="concurrent-connection bound: connections "
@@ -603,7 +598,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_max_bytes=args.cache_max_bytes,
         cache_max_entries=args.cache_max_entries,
         degrade=not args.no_degrade,
-        batch_window_ms=args.batch_window_ms,
         batch_max_lanes=1 if args.no_batching else args.batch_max_lanes,
         max_connections=args.max_connections,
         max_connections_per_peer=args.max_connections_per_peer,

@@ -477,13 +477,15 @@ class Simulator(_Durable):
         Includes the fault injector's replay state so orchestrating
         adversaries (Theorem 3.1) explore identical fault trajectories
         in both scenarios.  Policy/adversary state is *not* captured —
-        use :meth:`snapshot` for full crash-resume fidelity.
+        use :meth:`snapshot` for full crash-resume fidelity.  Buffered
+        packets are copied; delivered ones are shared, since a packet is
+        last written when it is delivered.
         """
         return {
             "buffers": copy.deepcopy(self.buffers),
             "step": self.step_index,
             "next_pid": self._next_pid,
-            "delivered_packets": copy.deepcopy(self.delivered_packets),
+            "delivered_packets": list(self.delivered_packets),
             "metrics": self.metrics.snapshot(),
             "faults": (
                 self.faults.snapshot() if self.faults is not None else None
@@ -519,7 +521,7 @@ class Simulator(_Durable):
         self._heights = self._derived_heights()
         self.step_index = cp["step"]
         self._next_pid = cp["next_pid"]
-        self.delivered_packets = copy.deepcopy(cp["delivered_packets"])
+        self.delivered_packets = list(cp["delivered_packets"])
         self.metrics.restore(cp["metrics"])
         if self.faults is not None:
             self.faults.restore(cp["faults"])

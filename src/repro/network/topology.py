@@ -275,11 +275,14 @@ class Topology:
 # Builders
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
 def path(n: int) -> Topology:
     """A directed path of ``n`` nodes; node ``n-1`` is the sink.
 
     Node ``0`` is the far end ("leftmost" in the paper's lower-bound
-    construction); node ``i`` forwards to ``i+1``.
+    construction); node ``i`` forwards to ``i+1``.  Memoised like
+    :func:`from_spec`: every caller shares one read-only instance per
+    size, so an engine built per query does not rebuild it.
     """
     if n < 1:
         raise TopologyError("a path needs at least one node (the sink)")

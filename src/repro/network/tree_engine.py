@@ -26,7 +26,8 @@ checkpoint quartet.  What is the tree's own:
 * the slice-shift move on the canonical path
   (``topology.is_canonical_path``), which is what
   :class:`~repro.network.engine_fast.PathEngine` runs on;
-* Algorithm 5's sibling-arbitration rule for the sparse loop.
+* Algorithm 5's sibling-arbitration rule for the sparse loop, and a
+  pairwise policy's scalar rule for the change-driven loop.
 
 It is at full feature parity with the packet-tracking
 :class:`~repro.network.simulator.Simulator`, which remains the semantic
@@ -46,6 +47,7 @@ import numpy as np
 from .buffers import Overflow
 from .dag_engine import (
     DecisionTiming,
+    LocalRule,
     SparseRule,
     _DagEngineCore,
     check_send_counts,
@@ -56,7 +58,7 @@ from .topology import SINK_SUCC, Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversaries.base import Adversary
-from ..policies.base import ForwardingPolicy
+from ..policies.base import ForwardingPolicy, PairwisePolicy
 
 __all__ = ["TreeEngine"]
 
@@ -154,6 +156,20 @@ class TreeEngine(_DagEngineCore):
         np.add.at(h, self._dest, sends[self._senders])
         h[self._sink] = 0
         return sends[self._pre_sink].sum(axis=0)
+
+    def _local_rule(self) -> LocalRule | None:
+        """The policy's ``forwards`` when it is the whole decision: a
+        :class:`PairwisePolicy` at c = 1 that keeps the default
+        ``send_mask`` and ``send_counts`` (Odd-Even, Downhill,
+        Downhill-or-Flat, FIE, the modular rules)."""
+        cls = type(self.policy)
+        if (
+            self.capacity != 1 or not issubclass(cls, PairwisePolicy)
+            or cls.send_mask is not PairwisePolicy.send_mask
+            or cls.send_counts is not ForwardingPolicy.send_counts
+        ):
+            return None
+        return self.policy.forwards
 
     def _sparse_rule(self) -> SparseRule | None:
         """Algorithm 5 over plain lists: sibling arbitration.

@@ -45,11 +45,17 @@ __all__ = [
 ]
 
 
-def _fleet_successors(heights: np.ndarray, topology: Topology) -> np.ndarray:
-    """``heights[succ]`` for a fleet's ``(n, runs)`` matrix.  numpy's row
-    gather is slow on a narrow one (24 µs at n = 1024 and 5 runs), so a
-    slice shift serves the canonical path (3 µs), ``np.take`` the rest
-    (8 µs).  The sink's row is junk for the caller to mask."""
+def _successor_heights(heights: np.ndarray, topology: Topology) -> np.ndarray:
+    """``heights[succ]`` for one run's ``(n,)`` heights or a fleet's
+    ``(n, runs)`` matrix; the sink's entry is junk for the caller to
+    mask.  One run takes numpy's gather, the fastest way up to
+    n = 1024 (0.3-1.2 µs; a slice shift costs 0.7-1.0 µs and
+    ``np.take`` 1.4-2.7 µs).  numpy's row gather is slow on a narrow
+    fleet matrix (24 µs at n = 1024 and 5 runs), so a fleet takes a
+    slice shift on the canonical path (3 µs) and ``np.take`` elsewhere
+    (8 µs)."""
+    if heights.ndim == 1:
+        return heights[topology.succ]
     if not topology.is_canonical_path:
         return np.take(heights, topology.succ, axis=0)
     out = np.empty_like(heights)
@@ -159,11 +165,8 @@ class PairwisePolicy(ForwardingPolicy):
         handled by the caller and need not be checked here."""
 
     def send_mask(self, heights: np.ndarray, topology: Topology) -> np.ndarray:
-        # heights[succ] is junk for the sink (succ == -1 wraps); masked out.
-        h_succ = (
-            heights[topology.succ] if heights.ndim == 1
-            else _fleet_successors(heights, topology)
-        )
+        # the sink's successor height is junk; masked out
+        h_succ = _successor_heights(heights, topology)
         mask = (heights > 0) & self.forwards(heights, h_succ)
         mask[topology.sink] = False
         return mask

@@ -122,7 +122,6 @@ class ServiceConfig:
     cache_max_entries: int | None = 4096
     degrade: bool = True  # False: fail loudly instead of degrading
     est_service_s: float = 0.5  # Retry-After scale per queued request
-    batch_window_ms: float = 4.0  # coalescing window per batch key
     batch_max_lanes: int = 64  # flush early once a batch is this wide
     max_connections: int = 256  # concurrent connections before shedding
     max_connections_per_peer: int = 64  # per-peer slice of the above
@@ -156,9 +155,7 @@ class ProvisioningService:
             breaker_reset_s=self.config.breaker_reset_s,
         )
         self.batcher = QueryBatcher(
-            self.pool,
-            window_s=self.config.batch_window_ms / 1e3,
-            max_lanes=self.config.batch_max_lanes,
+            self.pool, max_lanes=self.config.batch_max_lanes
         )
         self.admission = AdmissionController(
             self.config.queue_limit,

@@ -13,13 +13,19 @@ control and the shard pool and closes that gap:
   topology sha, policy, decision timing, overflow discipline, buffer
   capacity: everything a FleetEngine fixes fleet-wide), with per-lane
   adversaries, fault plans, seeds and step budgets heterogeneous;
-* a forming batch is held for a bounded window (``window_s``, a few
-  ms) and flushed early when it fills (``max_lanes``) or when a
-  member's deadline can no longer afford the wait — so batching never
-  *costs* a request its deadline, it only amortises compute; with
-  ``max_lanes=1`` every query flushes at once as a one-lane batch;
-* concurrent waiters for the *same* cache key share one lane (the
-  thundering-herd dedup the cache itself can't provide mid-flight);
+* batching is **slot-driven**: a query that finds fewer batches in
+  flight than the pool has shards leaves at once, as a one-lane batch,
+  because holding it past a free shard gains nothing.  A batch forms
+  only while every shard is busy; when a batch finishes, the oldest
+  forming batch is flushed at once.  A forming batch also flushes when
+  it fills (``max_lanes``), and when its tightest member's budget falls
+  to a fixed slack, so a saturated pool degrades a request at its
+  deadline, not after it; with ``max_lanes=1`` every query flushes at
+  once as a one-lane batch;
+* concurrent waiters for the *same* cache key share one lane, whether
+  it is still forming or already in flight (the thundering-herd dedup
+  the cache itself can't provide mid-flight); a waiter that joins an
+  in-flight lane waits no longer than its own deadline;
 * each flush becomes **one** :meth:`ShardPool.submit_batch` call, and
   per-lane results are demultiplexed back to their waiting futures —
   a poisoned lane resolves to :class:`QueryFailed` for its own waiters
@@ -30,7 +36,8 @@ control and the shard pool and closes that gap:
 Every provision query rides a batch: adaptive adversaries and fault
 plans are per-lane facts of the fleet, not reasons to leave it.  Only
 experiment queries (``batch_key()`` is ``None``) go to
-:meth:`ShardPool.submit` on their own.
+:meth:`ShardPool.submit` on their own; they hold a shard too, so they
+count as in flight.
 """
 
 from __future__ import annotations
@@ -40,14 +47,15 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .protocol import ProvisionQuery
-from .resilience import Deadline
+from .resilience import Deadline, DeadlineExceeded
 from .shards import QueryFailed, ShardPool
 
 __all__ = ["BatcherStats", "QueryBatcher"]
 
-# a batch whose tightest member has less than this many windows of
-# budget left flushes immediately rather than waiting out the window
-_DEADLINE_SLACK_WINDOWS = 2.0
+# a forming batch whose tightest member has this little budget left
+# flushes even while every shard is busy: one shard-pool poll
+# (``ShardPool._acquire``) is what it has left to find a free shard
+_DEADLINE_SLACK_S = 0.02
 
 
 @dataclass
@@ -63,7 +71,7 @@ class _Lane:
 
 @dataclass
 class _Batch:
-    """A forming batch: lanes keyed by cache key, one timer."""
+    """A forming batch: lanes keyed by cache key, one deadline timer."""
 
     batch_key: str
     lanes: dict[str, _Lane] = field(default_factory=dict)
@@ -78,7 +86,7 @@ class BatcherStats:
     lanes_flushed: int = 0
     requests_batched: int = 0  # includes same-key waiters sharing a lane
     requests_solo: int = 0  # experiment queries, which run no fleet
-    flush_window: int = 0
+    flush_slot: int = 0
     flush_size: int = 0
     flush_deadline: int = 0
 
@@ -93,7 +101,10 @@ class BatcherStats:
                 round(self.lanes_flushed / batches, 3) if batches else 0.0
             ),
             "flushes": {
-                "window": self.flush_window,
+                # no batch waits out a fixed window any more; the key
+                # stays for readers of the old layout
+                "window": 0,
+                "slot": self.flush_slot,
                 "size": self.flush_size,
                 "deadline": self.flush_deadline,
             },
@@ -101,30 +112,26 @@ class BatcherStats:
 
 
 class QueryBatcher:
-    """Deadline-aware coalescing scheduler in front of a shard pool.
+    """Slot-driven coalescing scheduler in front of a shard pool.
 
     Single-event-loop discipline: every method runs on the service's
-    loop, so the pending-batch dict needs no locking.  ``submit`` is
-    the only entry point; it resolves to exactly the document (or
-    exception) a one-lane batch of the same query would produce.
+    loop, so the batch dicts need no locking.  ``submit`` is the only
+    entry point; it resolves to exactly the document (or exception) a
+    one-lane batch of the same query would produce.  The pool's shard
+    count is the number of slots (a duck-typed pool without ``shards``
+    has one).
     """
 
-    def __init__(
-        self,
-        pool: ShardPool,
-        *,
-        window_s: float = 0.004,
-        max_lanes: int = 64,
-    ) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
+    def __init__(self, pool: ShardPool, *, max_lanes: int = 64) -> None:
         if max_lanes < 1:
             raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
         self.pool = pool
-        self.window_s = float(window_s)
         self.max_lanes = int(max_lanes)
+        self.slots = len(getattr(pool, "shards", ())) or 1
         self.stats = BatcherStats()
-        self._pending: dict[str, _Batch] = {}
+        self._forming: dict[str, _Batch] = {}  # oldest first
+        self._flying: dict[str, _Lane] = {}  # cache key -> lane in flight
+        self._running = 0  # batches and solo queries in flight
 
     # -- the one entry point -------------------------------------------
     async def submit(
@@ -140,45 +147,69 @@ class QueryBatcher:
         batch_key = query.batch_key()
         if batch_key is None:
             self.stats.requests_solo += 1
-            return await self.pool.submit(query, deadline)
+            self._running += 1
+            try:
+                return await self.pool.submit(query, deadline)
+            finally:
+                self._done()
         self.stats.requests_batched += 1
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[dict[str, Any]] = loop.create_future()
-
-        batch = self._pending.get(batch_key)
-        if batch is None:
-            batch = _Batch(batch_key)
-            self._pending[batch_key] = batch
-            batch.timer = loop.call_later(
-                self.window_s, self._flush, batch_key, "window"
-            )
+        future: asyncio.Future[dict[str, Any]] = (
+            asyncio.get_running_loop().create_future()
+        )
         cache_key = query.cache_key()
+        flying = self._flying.get(cache_key)
+        if flying is not None:
+            left = deadline.check("waiting for an in-flight lane")
+            flying.futures.append(future)
+            try:
+                return await asyncio.wait_for(future, left)
+            except asyncio.TimeoutError:
+                raise DeadlineExceeded(
+                    "deadline exceeded while waiting for an in-flight lane"
+                ) from None
+
+        batch = self._forming.get(batch_key)
+        if batch is None:
+            batch = self._forming[batch_key] = _Batch(batch_key)
         lane = batch.lanes.get(cache_key)
         if lane is None:
-            lane = _Lane(query=query, deadline=deadline)
-            batch.lanes[cache_key] = lane
+            lane = batch.lanes[cache_key] = _Lane(query, deadline)
         elif deadline.remaining() < lane.deadline.remaining():
             lane.deadline = deadline  # tightest waiter wins
         lane.futures.append(future)
 
         if len(batch.lanes) >= self.max_lanes:
             self._flush(batch_key, "size")
-        elif (
-            deadline.remaining()
-            <= self.window_s * _DEADLINE_SLACK_WINDOWS
-        ):
-            self._flush(batch_key, "deadline")
+        elif self._running < self.slots:
+            self._flush(batch_key, "slot")
+        else:
+            self._arm(batch, deadline)
         return await future
 
     # -- flush machinery -----------------------------------------------
+    def _arm(self, batch: _Batch, deadline: Deadline) -> None:
+        """Flush ``batch`` when ``deadline`` is down to the slack, unless
+        a tighter member already set an earlier time."""
+        left = deadline.remaining() - _DEADLINE_SLACK_S
+        if left <= 0:
+            self._flush(batch.batch_key, "deadline")
+            return
+        loop = asyncio.get_running_loop()
+        if batch.timer is not None:
+            if batch.timer.when() <= loop.time() + left:
+                return
+            batch.timer.cancel()
+        batch.timer = loop.call_later(
+            left, self._flush, batch.batch_key, "deadline"
+        )
+
     def _flush(self, batch_key: str, cause: str) -> None:
         """Detach the forming batch and hand it to a runner task.
 
-        Idempotent per batch: the window timer and an early size /
-        deadline trigger may both fire; only the first finds the batch
-        still pending.
+        Idempotent per batch: its deadline timer is cancelled here, so
+        only the first trigger finds the batch still forming.
         """
-        batch = self._pending.pop(batch_key, None)
+        batch = self._forming.pop(batch_key, None)
         if batch is None:
             return
         if batch.timer is not None:
@@ -190,9 +221,27 @@ class QueryBatcher:
             f"flush_{cause}",
             getattr(self.stats, f"flush_{cause}") + 1,
         )
+        self._running += 1
+        self._flying.update(batch.lanes)
         asyncio.get_running_loop().create_task(self._run_batch(batch))
 
+    def _done(self) -> None:
+        """A batch or solo query left its shard: hand the free slots to
+        the oldest forming batches."""
+        self._running -= 1
+        while self._forming and self._running < self.slots:
+            self._flush(next(iter(self._forming)), "slot")
+
     async def _run_batch(self, batch: _Batch) -> None:
+        try:
+            await self._answer(batch)
+        finally:
+            for key, lane in batch.lanes.items():
+                if self._flying.get(key) is lane:
+                    del self._flying[key]
+            self._done()
+
+    async def _answer(self, batch: _Batch) -> None:
         lanes = list(batch.lanes.values())
         # the tightest member bounds the whole fleet call: batching
         # must never push a request past the deadline it arrived with
@@ -240,12 +289,11 @@ class QueryBatcher:
     # -- introspection -------------------------------------------------
     @property
     def pending_lanes(self) -> int:
-        return sum(len(b.lanes) for b in self._pending.values())
+        return sum(len(b.lanes) for b in self._forming.values())
 
     def stats_dict(self) -> dict[str, Any]:
         return {
             **self.stats.as_dict(),
-            "window_ms": round(self.window_s * 1e3, 3),
             "max_lanes": self.max_lanes,
             "pending_lanes": self.pending_lanes,
         }

@@ -77,3 +77,12 @@ class TestEngineAB:
             ratio = float(rows[metric][1])
             assert 0 < ratio < 100, rows[metric]
             assert rows[metric][-1] in ("0/1", "1/1")
+
+    def test_service_queries_on_the_same_tree(self):
+        out = run_script(
+            "tools/engine_ab.py", "src", "src", "--service", "6",
+            "--seed", "1", timeout=600,
+        )
+        words = out.split()
+        assert words[0] == "old" and words[3] == "new"
+        assert words[6] == "new/old" and float(words[7]) > 0

@@ -71,7 +71,6 @@ def make_service(tmp_path, **over) -> ServiceThread:
         backoff_s=0.05,
         breaker_reset_s=1.0,
         cache_dir=str(tmp_path / "cache"),
-        batch_window_ms=10.0,
     )
     for key, value in over.items():
         setattr(cfg, key, value)

@@ -245,7 +245,7 @@ def test_batcher_demux_bit_identical_to_solo(raws):
     parsed = [ProvisionQuery.from_dict(_worker_dict(r)) for r in raws]
 
     async def run():
-        batcher = QueryBatcher(_InlinePool(), window_s=0.02, max_lanes=64)
+        batcher = QueryBatcher(_InlinePool(), max_lanes=64)
         return await asyncio.gather(
             *(batcher.submit(q, Deadline.after(30.0)) for q in parsed),
             return_exceptions=True,

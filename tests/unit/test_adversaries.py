@@ -411,6 +411,35 @@ class TestInjectSchedule:
         assert [tuple(a.inject(s, h, topo)) for s in range(500)] == want
         assert [tuple(x) for x in b.inject_schedule(0, 500, topo)] == want
 
+    @pytest.mark.parametrize("seed", [0, 3, 99])
+    @pytest.mark.parametrize("p", [1.0, 0.6, 0.1])
+    @pytest.mark.parametrize("k", [1, 2, 255, 1023])
+    def test_uniform_schedule_decodes_the_generator_stream(self, seed, p, k):
+        # inject_schedule decodes raw PCG64 words (53-bit doubles,
+        # buffered 32-bit halves through Lemire's method); split at
+        # arbitrary points and interleaved with inject(), it must draw
+        # exactly what per-step inject() calls draw and leave the
+        # generator in the same state
+        topo = path(k + 1)
+        a, b = (UniformRandomAdversary(p=p, seed=seed) for _ in range(2))
+        a.reset(topo, 1)
+        b.reset(topo, 1)
+        h = zero_heights(topo)
+        cuts = np.random.default_rng(seed + 1000)
+        t = 0
+        for _ in range(6):
+            steps = int(cuts.integers(0, 260))
+            got = [tuple(x) for x in a.inject_schedule(t, steps, topo)]
+            want = [tuple(b.inject(t + i, h, topo)) for i in range(steps)]
+            assert got == want
+            t += steps
+            for _ in range(int(cuts.integers(0, 3))):
+                assert tuple(a.inject(t, h, topo)) == tuple(
+                    b.inject(t, h, topo)
+                )
+                t += 1
+            assert a._rng.bit_generator.state == b._rng.bit_generator.state
+
     def test_adaptive_adversaries_opt_out(self):
         # height-dependent traffic cannot be precomputed: the base
         # class answers None and the engine falls back to stepping

@@ -843,7 +843,7 @@ def test_a_failed_answer_check_is_a_500_and_never_cached(tmp_path):
     svc = ProvisioningService(
         ServiceConfig(port=0, cache_dir=str(tmp_path / "cache"))
     )
-    svc.batcher = QueryBatcher(_DoctoringPool(), window_s=0.001)
+    svc.batcher = QueryBatcher(_DoctoringPool())
     body = json.dumps({"topology": "path:16", "steps": 50}).encode()
 
     async def post():

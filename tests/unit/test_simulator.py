@@ -130,6 +130,58 @@ class TestCheckpoint:
         assert len(sim.delivered_packets) == delivered_at_cp
         assert sim.step_index == 6
 
+    def test_snapshot_shares_delivered_packets(self):
+        # a packet is last written when it is delivered, so a snapshot
+        # copies the list, not the packets; buffered packets are copied
+        sim = Simulator(path(6), OddEvenPolicy(), FarEndAdversary())
+        sim.run(30)
+        snap = sim.snapshot()
+        assert snap["delivered_packets"] is not sim.delivered_packets
+        assert len(snap["delivered_packets"]) == len(sim.delivered_packets)
+        assert all(
+            a is b for a, b in zip(snap["delivered_packets"],
+                                   sim.delivered_packets)
+        )
+        in_flight = [p for buf in sim.buffers for p in buf]
+        copied = [p for buf in snap["buffers"] for p in buf]
+        assert in_flight and not any(
+            a is b for a, b in zip(in_flight, copied)
+        )
+        sim.run(10)
+        sim.restore(snap)
+        assert sim.delivered_packets is not snap["delivered_packets"]
+        assert sim.delivered_packets == snap["delivered_packets"]
+
+    def test_recovery_with_frequent_snapshots_matches_stepping(self):
+        from repro.adversaries import UniformRandomAdversary
+        from repro.network.faults import (
+            FaultEvent, FaultKind, FaultPlan, run_with_recovery,
+        )
+
+        plan = FaultPlan(events=tuple(
+            FaultEvent(kind=FaultKind.HALT, start=s) for s in (37, 151, 290)
+        ))
+
+        def make(faults):
+            return Simulator(
+                path(16), OddEvenPolicy(), UniformRandomAdversary(seed=4),
+                faults=faults,
+            )
+
+        recovered = make(plan)
+        assert run_with_recovery(recovered, 400, snapshot_every=10) == 3
+        plain = make(None)
+        plain.run(400)
+        assert recovered.result() == plain.result()
+        assert (recovered.heights == plain.heights).all()
+        assert [
+            (p.pid, p.origin, p.birth_step, p.delivered_step, p.hops)
+            for p in recovered.delivered_packets
+        ] == [
+            (p.pid, p.origin, p.birth_step, p.delivered_step, p.hops)
+            for p in plain.delivered_packets
+        ]
+
     def test_replay_after_restore_is_deterministic(self):
         sim = Simulator(path(5), OddEvenPolicy(), FarEndAdversary())
         sim.run(4)

@@ -4,6 +4,7 @@
 Usage::
 
     python tools/engine_ab.py OLD_SRC NEW_SRC [--rounds N]
+    python tools/engine_ab.py OLD_SRC NEW_SRC --service N [--seed S]
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding a ``repro`` package
 (``src`` of two checkouts).  Each package is copied under a distinct
@@ -19,16 +20,29 @@ ratio, its quartiles, and the rounds the new tree won (a ratio above 1
 is faster).  Each throughput function also checks its fast engine
 against its reference before reporting, so a diverging tree fails
 loudly instead of producing a number.
+
+``--service N`` times what a cache-missing ``POST /provision`` computes
+instead: both trees' ``repro.service.execute_batch`` answer the same N
+one-lane provision queries, drawn (seeded by ``--seed``) over the
+service surface — every topology kind with its policy, every adversary
+a topology admits, both decision timings, 500-1,999 steps, one query
+in 8 with a finite buffer and one in 8 with a fault plan.  Sides
+alternate per 64-query chunk; each chunk's process CPU time is the
+minimum of 3 runs.  The tool prints both totals and the new/old time
+ratio (below 1 is faster), and fails if the two trees answer any query
+differently.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import random
 import shutil
 import statistics
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 #: BENCH record block -> the ``repro.runner.perf`` function that
@@ -41,16 +55,32 @@ FUNCTIONS = {
 }
 
 
+#: what the service answers, as in the provision-miss benchmark: each
+#: topology kind with the one policy it accepts
+TOPOLOGIES = {
+    "path:256": "odd-even",
+    "path:1024": "odd-even",
+    "binary:7": "tree-odd-even",
+    "spider:8x16": "tree-odd-even",
+    "random:300": "tree-odd-even",
+}
+TIMINGS = ("pre_injection", "post_injection")
+OVERFLOWS = ("drop-tail", "drop-oldest", "push-back")
+#: the service queries are timed in chunks of this many, sides alternating
+CHUNK = 64
+
+
 def load(src: str, name: str, into: Path):
-    """Import ``src``'s ``repro`` package as ``name``; return its perf
-    module."""
+    """Import ``src``'s ``repro`` package as ``name``; return it."""
     pkg = Path(src) / "repro"
     if not (pkg / "__init__.py").is_file():
         raise SystemExit(f"error: {src} holds no repro package")
     shutil.copytree(
         pkg, into / name, ignore=shutil.ignore_patterns("__pycache__")
     )
-    return importlib.import_module(f"{name}.runner.perf")
+    importlib.import_module(f"{name}.runner.perf")
+    importlib.import_module(f"{name}.service")
+    return importlib.import_module(name)
 
 
 def measure(old, new, rounds: int) -> dict[str, list[float]]:
@@ -59,7 +89,7 @@ def measure(old, new, rounds: int) -> dict[str, list[float]]:
     for i in range(rounds):
         for block, fn in FUNCTIONS.items():
             sides = (old, new) if i % 2 == 0 else (new, old)
-            got = {id(side): getattr(side, fn)() for side in sides}
+            got = {id(side): getattr(side.runner.perf, fn)() for side in sides}
             before, after = got[id(old)], got[id(new)]
             for key, value in after.items():
                 if key.endswith("_sps"):
@@ -68,6 +98,70 @@ def measure(old, new, rounds: int) -> dict[str, list[float]]:
                     )
         print(f"round {i + 1}/{rounds} done", file=sys.stderr)
     return ratios
+
+
+def service_queries(repro, count: int, seed: int) -> list[dict]:
+    """``count`` one-lane provision queries over the surface the
+    ``repro`` package serves."""
+    rng = random.Random(f"engine-ab-service:{seed}")
+    from_spec = repro.network.topology.from_spec
+    names = repro.adversaries.ADVERSARY_NAMES
+    combos = [
+        (topo, adv, timing)
+        for topo in TOPOLOGIES for adv in names for timing in TIMINGS
+        if adv != "pressure" or from_spec(topo).is_path
+    ]
+    out = []
+    for _ in range(count):
+        topo, adv, timing = rng.choice(combos)
+        n, steps = from_spec(topo).n, rng.randrange(500, 2000)
+        raw = {
+            "topology": topo, "policy": TOPOLOGIES[topo], "adversary": adv,
+            "steps": steps, "seed": rng.randrange(1 << 30),
+            "decision_timing": timing,
+        }
+        if rng.randrange(8) == 0:
+            raw["buffer_capacity"] = rng.randint(2, 8)
+            raw["overflow"] = rng.choice(OVERFLOWS)
+        if rng.randrange(8) == 0:
+            # node 0 drains the trees and node n - 1 the paths
+            raw["faults"] = {"seed": rng.randrange(1 << 16), "events": [
+                {"kind": "link_down", "start": rng.randrange(steps // 2),
+                 "node": rng.randint(1, n - 2),
+                 "duration": rng.randint(5, 50)},
+                {"kind": "halt", "start": rng.randrange(steps // 4, steps)},
+            ]}
+        out.append(raw)
+    return out
+
+
+def measure_service(old, new, queries: list[dict]) -> tuple[float, float]:
+    """Each side's CPU seconds over ``queries``, answered one lane at a
+    time; both sides must answer alike."""
+    spent = {id(old): 0.0, id(new): 0.0}
+    for c, at in enumerate(range(0, len(queries), CHUNK)):
+        chunk = queries[at:at + CHUNK]
+        answers = {}
+        for side in (old, new) if c % 2 == 0 else (new, old):
+            lanes = [
+                side.service.ProvisionQuery.from_dict(raw).to_worker_dict()
+                for raw in chunk
+            ]
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.process_time()
+                docs = [side.service.execute_batch([lane])[0] for lane in lanes]
+                best = min(best, time.process_time() - t0)
+            spent[id(side)] += best
+            answers[id(side)] = [
+                {k: v for k, v in doc.items() if k != "compute_s"}
+                for doc in docs
+            ]
+        for raw, a, b in zip(chunk, answers[id(old)], answers[id(new)]):
+            if a != b:
+                raise SystemExit(f"error: the trees answer {raw} differently")
+        print(f"queries {at + len(chunk)}/{len(queries)} done", file=sys.stderr)
+    return spent[id(old)], spent[id(new)]
 
 
 def report(ratios: dict[str, list[float]]) -> str:
@@ -92,15 +186,27 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("new_src", help="source dir holding the new repro")
     ap.add_argument("--rounds", type=int, default=21,
                     help="alternating rounds (default 21)")
+    ap.add_argument("--service", type=int, metavar="N",
+                    help="time N one-lane provision queries instead")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed of the --service queries (default 0)")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
+    if args.service is not None and args.service < 1:
+        ap.error("--service must be >= 1")
     with tempfile.TemporaryDirectory(prefix="engine_ab_") as tmp:
         sys.path.insert(0, tmp)
         try:
             old = load(args.old_src, "repro_ab_old", Path(tmp))
             new = load(args.new_src, "repro_ab_new", Path(tmp))
-            print(report(measure(old, new, args.rounds)))
+            if args.service is None:
+                print(report(measure(old, new, args.rounds)))
+            else:
+                queries = service_queries(new, args.service, args.seed)
+                before, after = measure_service(old, new, queries)
+                print(f"old {before:.2f} s  new {after:.2f} s  "
+                      f"new/old {after / before:.3f}")
         finally:
             sys.path.remove(tmp)
     return 0
