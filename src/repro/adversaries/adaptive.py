@@ -91,20 +91,26 @@ class PressureAdversary(Adversary):
 
     def __init__(self) -> None:
         self._order: np.ndarray | None = None
+        self._identity = False
 
     def reset(self, topology: Topology, capacity: int) -> None:
         if not topology.is_path:
             raise TopologyError(
                 "pressure walks the path order, which only a path has"
             )
-        self._order = topology.path_order()
+        self._order = order = topology.path_order()
+        self._identity = bool((order == np.arange(len(order))).all())
 
     def inject(self, step, heights, topology):
         order = self._order
-        hh = heights[order]
+        # on the canonical path the path order is the node order, and
+        # the gather is a copy
+        hh = heights if self._identity else heights[order]
         # Walk leftwards from the sink's predecessor while heights are
         # non-increasing towards the sink; the walk stops at the last
-        # ascent (hh[i-1] < hh[i]) at or before position n-2.
+        # ascent (hh[i-1] < hh[i]) at or before position n-2.  One scan
+        # of the whole path: under Odd-Even the plateau at the sink
+        # spans most of it, so the walk usually ends at the far end.
         n = len(order)
         ascents = np.flatnonzero(hh[: n - 2] < hh[1 : n - 1]) + 1
         pos = int(ascents[-1]) if ascents.size else 0

@@ -20,7 +20,8 @@ there once:
   many rounds: one schedule flattener, a change-driven loop for the
   1-local pairwise rules, a sparse-occupancy loop skeleton and one
   dense numpy loop, whose per-run records serve one run and a fleet
-  alike.  A published
+  alike.  Finite buffers take the first two loops until their first
+  refusal, which the dense loop resolves.  A published
   :meth:`~repro.adversaries.base.Adversary.inject_schedule` is
   flattened once, an adaptive adversary is asked step by step inside
   the change-driven or dense loop, and a fault plan's quiet stretches
@@ -340,6 +341,26 @@ def _schedule_period(batches: list) -> tuple[int, int] | None:
 def _advance(it: Any, k: int) -> None:
     """Consume ``k`` items of the iterator ``it``."""
     next(itertools.islice(it, k, k), None)
+
+
+def _meets_full(hl: list[int], sites: Sequence[int], cap: int) -> bool:
+    """Would a site of ``sites``, landing one by one on the list heights
+    ``hl``, meet a buffer already holding ``cap`` packets (which the
+    injection mini-step refuses)?"""
+    return any(hl[s] + sites[:i].count(s) >= cap for i, s in enumerate(sites))
+
+
+def _plain(batches: Iterable[tuple], topology: Any, limit: int) -> bool:
+    """Would :func:`~repro.network.validation.validate_injections` pass
+    every batch unchanged: at most ``limit`` sites each, and every site
+    a plain int naming a node other than the sink?"""
+    if max(map(len, batches), default=0) > limit:
+        return False
+    n, sink = topology.n, topology.sink
+    return all(
+        type(s) is int and 0 <= s < n and s != sink
+        for s in set(itertools.chain.from_iterable(batches))
+    )
 
 
 def _observes(policy: Any) -> bool:
@@ -701,6 +722,12 @@ class _DagEngineCore(_Durable):
         ``None``."""
         return None
 
+    def _mask_step(self, h: np.ndarray) -> tuple[Callable, Callable] | None:
+        """A ``(decide, settle)`` pair that replaces :meth:`_decide` and
+        :meth:`_settle` in the dense loop over one run's heights ``h``
+        with unbounded buffers, or ``None``."""
+        return None
+
     # ------------------------------------------------------------------
     def _begin_step(
         self, injections: tuple[int, ...] | None
@@ -911,6 +938,14 @@ class _DagEngineCore(_Durable):
         repeat when its schedule has a repeating tail
         (:func:`_schedule_period`) or its adversary declares
         ``heights_only`` (period 1).
+
+        Finite buffers take the sparse and change-driven loops too: a
+        step in which no site lands on a full buffer and no buffer ends
+        above capacity refuses nothing, and is then exactly the
+        unbounded step under every discipline.  Those loops check both
+        before they commit a step and hand the first step that would
+        refuse, and every step after it, to the dense loop, which owns
+        refusals and the loss ledger.
         """
         adv = self.adversary
         start, end = self.step_index, self.step_index + steps
@@ -925,7 +960,10 @@ class _DagEngineCore(_Durable):
             and not _observes(self.policy)
         )
         ledger = None if cap is None else self.metrics.ledger
-        forwards = self._local_rule() if watch and cap is None else None
+        # the fast loops start only from heights within the capacity
+        # (a restored checkpoint need not be)
+        fits = cap is None or int(self.heights.max(initial=0)) <= cap
+        forwards = self._local_rule() if watch and fits else None
         if schedule is None and adv is not None:
             came = [0]
             asked = self._live(end, came)
@@ -952,7 +990,7 @@ class _DagEngineCore(_Durable):
             first, p = period
             # every in-phase window of the tail injects as many packets
             fed = sum(map(len, batches[first:first + p]))
-        rule = None if series or cap is not None else self._sparse_rule()
+        rule = None if series or not fits else self._sparse_rule()
         if rule is not None or forwards is not None:
             lap = None if period is None else _Lap(
                 start + first, p, start, end, listed=True
@@ -987,14 +1025,20 @@ class _DagEngineCore(_Durable):
     def _live(self, end: int, came: list[int]):
         """The adversary's sites for every step before ``end``, asked
         from the live heights and validated as :meth:`step` validates
-        them; ``came[0]`` tallies them."""
+        them; ``came[0]`` tallies the sites handed out.  A loop that
+        hands a step back uncommitted leaves ``step_index`` where it
+        was, and the next loop gets the same batch again: the adversary
+        is asked once per step."""
         adv, topo, limit = self.adversary, self.topology, self.injection_limit
         h = self.heights
+        asked = -1
+        sites: tuple[int, ...] = ()
         while self.step_index < end:
-            sites = validate_injections(
-                adv.inject(self.step_index, h, topo), topo, limit,
-                step=self.step_index,
-            )
+            if self.step_index != asked:
+                asked = self.step_index
+                sites = validate_injections(
+                    adv.inject(asked, h, topo), topo, limit, step=asked,
+                )
             came[0] += len(sites)
             yield sites
 
@@ -1006,14 +1050,13 @@ class _DagEngineCore(_Durable):
         count, for one run or a fleet.
 
         ``lanes[r]`` is run ``r``'s ``(adversary, schedule, injection
-        limit)``, or ``None``.  Each distinct batch is validated once, at
-        the first step it appears; run ``r``'s site ``v`` becomes flat
+        limit)``, or ``None``.  Each distinct batch is validated once
+        (:meth:`_lane_batches`); run ``r``'s site ``v`` becomes flat
         index ``v·runs + r`` of the node-major heights.  A constant
         schedule collapses to one batch; a fleet's long batches become
         arrays.  ``labels`` names a fleet's runs in messages.
         """
         runs = len(lanes)
-        topo = self.topology
         injected = np.zeros(runs, dtype=np.int64)
         static: list[int] = []
         dynamic: list[list[tuple[int, ...]]] = []
@@ -1029,24 +1072,11 @@ class _DagEngineCore(_Durable):
                 )
             if steps and all(entry is sched[0] for entry in sched):
                 sched = sched[:1]  # one batch object repeated
-            canon: dict[tuple[int, ...], tuple[int, ...]] = {}
-            prev: Any = canon  # sentinel never identical to a batch
-            per_step: list[tuple[int, ...]] = []
-            for t, entry in enumerate(sched):
-                if entry is not prev:
-                    key = tuple(entry)
-                    flat = canon.get(key)
-                    if flat is None:
-                        sites = validate_injections(
-                            key, topo, limit, step=self.step_index + t
-                        )
-                        flat = canon[key] = tuple(v * runs + r for v in sites)
-                    prev = entry
-                per_step.append(flat)
-            if len(canon) == 1:
+            per_step, distinct = self._lane_batches(sched, limit, runs, r)
+            if distinct == 1:
                 static.extend(per_step[0])
                 injected[r] = len(per_step[0]) * steps
-            elif canon:
+            elif distinct:
                 dynamic.append(per_step)
                 injected[r] = sum(map(len, per_step))
 
@@ -1063,6 +1093,47 @@ class _DagEngineCore(_Durable):
             batch(static + [i for lane in dynamic for i in lane[t]])
             for t in range(steps)
         ], injected
+
+    def _lane_batches(
+        self, sched: Sequence, limit: int, runs: int, r: int
+    ) -> tuple[list[tuple[int, ...]], int]:
+        """Run ``r``'s per-step flat batches, in which equal batches are
+        one tuple object (what :func:`_schedule_period` compares), and
+        how many distinct batches there are.
+
+        Each distinct batch is validated as :meth:`step` validates it,
+        at the first step it appears.  A lone run's site is its own flat
+        index, so its batches are kept as given when one check over all
+        of them finds every site a valid node id (:func:`_plain`); only
+        otherwise are they validated one by one, which raises the first
+        offending step's :class:`~repro.errors.RateViolation`.
+        """
+        canon: dict[tuple[int, ...], tuple[int, ...]] = {}
+        prev: Any = canon  # sentinel never identical to a batch
+        per_step: list[tuple[int, ...]] = []
+        if runs == 1:
+            for entry in sched:
+                if entry is not prev:
+                    key = tuple(entry)
+                    flat = canon.setdefault(key, key)
+                    prev = entry
+                per_step.append(flat)
+            if _plain(canon, self.topology, limit):
+                return per_step, len(canon)
+            canon, per_step = {}, []
+            prev = canon
+        for t, entry in enumerate(sched):
+            if entry is not prev:
+                key = tuple(entry)
+                flat = canon.get(key)
+                if flat is None:
+                    sites = validate_injections(
+                        key, self.topology, limit, step=self.step_index + t
+                    )
+                    flat = canon[key] = tuple(v * runs + r for v in sites)
+                prev = entry
+            per_step.append(flat)
+        return per_step, len(canon)
 
     def _land(
         self, flat: np.ndarray, sites, ledgers: list[LossLedger]
@@ -1106,14 +1177,16 @@ class _DagEngineCore(_Durable):
         flat = h.reshape(-1)
         cap = self.buffer_capacity
         pre = self.decision_timing == "pre_injection"
-        decide = self._decide
-        settle = self._settle
+        validate = self.validate
+        step = None
+        if h.ndim == 1 and cap is None and not validate:
+            step = self._mask_step(h)
+        decide, settle = step or (self._decide, self._settle)
         land = self._land
         ledgers = rows.ledgers
         runs = len(ledgers)
         per_node_max = rows.per_node_max
         series = self.metrics.series if self.metrics.series.enabled else None
-        validate = self.validate
         delivered: Any = 0
         nxt = -1 if lap is None else lap.next
         it = iter(batches)
@@ -1188,18 +1261,26 @@ class _DagEngineCore(_Durable):
         move lands.  Max tracking is incremental — a node can only set
         a height record in a step that increased it, so records are
         detected from the touched nodes alone.  Delivered packets are
-        recovered at the end from conservation (no drops are possible
-        here: unbounded buffers, no faults).
+        recovered at the end from conservation (no drops happen here:
+        no faults, and a finite-buffer step that would refuse a packet
+        is handed back uncommitted).
 
-        If occupancy ever exceeds :attr:`_SPARSE_OCCUPANCY_LIMIT` the
-        loop stops early and reports how many steps it completed; the
-        caller finishes the rest in the dense loop.  ``lap`` watches the
-        run for a repeat and skips its laps (:class:`_Lap`), which count
-        as steps done.
+        If occupancy ever exceeds :attr:`_SPARSE_OCCUPANCY_LIMIT`, or a
+        step would refuse a packet (:meth:`_run_quiet`), the loop stops
+        early and reports how many steps it completed; the caller
+        finishes the rest in the dense loop.  A rule may tick the
+        policy's state (round-robin rotation), so a step handed back
+        restores it.  ``lap`` watches the run for a repeat and skips its
+        laps (:class:`_Lap`), which count as steps done.
         """
         h = self.heights
         topo = self.topology
         sink = self._sink
+        cap = self.buffer_capacity
+        # a stateful rule's state, restored when a step is handed back
+        state: dict[str, Any] = {}
+        if cap is not None and not getattr(self.policy, "stateless", False):
+            state = vars(self.policy)
         hl = h.tolist()
         pre = self.decision_timing == "pre_injection"
         tracker = self.metrics.tracker
@@ -1219,23 +1300,40 @@ class _DagEngineCore(_Durable):
         for sites in it:
             if len(occ) > limit:
                 break
+            if cap is not None and _meets_full(hl, sites, cap):
+                break
             if not pre:
                 for s in sites:
                     hl[s] += 1
                     occ.add(s)
+            if state:
+                saved = dict(state)
             moves = rule(hl, occ)
             if pre:
                 for s in sites:
                     hl[s] += 1
-            injected += len(sites)
             grew = list(sites)
+            arrived = 0
             for v, u in moves:
                 hl[v] -= 1
                 if u != sink:
                     hl[u] += 1
                     grew.append(u)
                 else:
-                    gone += 1
+                    arrived += 1
+            if cap is not None and any(hl[v] > cap for v in grew):
+                # the step would refuse: hand it back uncommitted
+                for v, u in moves:
+                    hl[v] += 1
+                    if u != sink:
+                        hl[u] -= 1
+                for s in sites:
+                    hl[s] -= 1
+                if state:
+                    state.update(saved)
+                break
+            injected += len(sites)
+            gone += arrived
             for v, _ in moves:
                 if hl[v] == 0:
                     occ.discard(v)
@@ -1281,8 +1379,8 @@ class _DagEngineCore(_Durable):
         self, batches: Iterable, forwards: LocalRule,
         lap: _Lap | None = None, live: bool = False,
     ) -> int:
-        """Change-driven loop for a 1-local pairwise rule on an in-tree
-        with unbounded buffers; returns steps done.
+        """Change-driven loop for a 1-local pairwise rule on an in-tree;
+        returns steps done.
 
         Node ``v`` sends one packet iff it is non-empty and
         ``forwards(h(v), h(succ(v)))``, so between two steps only a node
@@ -1299,13 +1397,18 @@ class _DagEngineCore(_Durable):
 
         Before it takes a batch the loop checks how many buffers the
         last step changed; past :attr:`_CHANGE_LIMIT` it stops, and the
-        caller runs the remaining steps in the dense loop.  ``lap``
-        watches the run for a repeat and skips its laps
-        (:class:`_Lap`), which count as steps done.  The state reached
-        is committed even if a step raises.
+        caller runs the remaining steps in the dense loop.  Under finite
+        buffers it also stops at a step that would refuse a packet
+        (:meth:`_run_quiet`): a site meets a full buffer, or a buffer's
+        net flow takes it past the capacity.  That step is handed back
+        uncommitted, and its batch is the dense loop's first (a live
+        adversary's too: :meth:`_live`).  ``lap`` watches the run for a
+        repeat and skips its laps (:class:`_Lap`), which count as steps
+        done.  The state reached is committed even if a step raises.
         """
         h = self.heights
         sink = self._sink
+        cap = self.buffer_capacity
         limit = self._CHANGE_LIMIT
         sends, receivers = self._decide(h)
         flow = np.zeros_like(h)
@@ -1329,6 +1432,8 @@ class _DagEngineCore(_Durable):
         it = iter(batches)
         try:
             for sites in it:
+                if cap is not None and _meets_full(hl, sites, cap):
+                    break
                 if not pre:
                     for s in sites:
                         hl[s] += 1
@@ -1357,6 +1462,12 @@ class _DagEngineCore(_Durable):
                 if pre:
                     for s in sites:
                         hl[s] += 1
+                if cap is not None and any(
+                    hl[v] + f > cap for v, f in net.items()
+                ):
+                    for s in sites:
+                        hl[s] -= 1
+                    break
                 grew = list(sites)
                 for v, f in net.items():
                     hl[v] += f

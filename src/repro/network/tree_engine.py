@@ -25,7 +25,9 @@ checkpoint quartet.  What is the tree's own:
   order the Simulator uses, so refusals cascade away from the sink;
 * the slice-shift move on the canonical path
   (``topology.is_canonical_path``), which is what
-  :class:`~repro.network.engine_fast.PathEngine` runs on;
+  :class:`~repro.network.engine_fast.PathEngine` runs on, and there one
+  unbounded run's dense step for a pairwise rule: decide on views, move
+  one mask;
 * Algorithm 5's sibling-arbitration rule for the sparse loop, and a
   pairwise policy's scalar rule for the change-driven loop.
 
@@ -40,7 +42,7 @@ experiment E12 stays on the Simulator for that reason.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -157,6 +159,34 @@ class TreeEngine(_DagEngineCore):
         h[self._sink] = 0
         return sends[self._pre_sink].sum(axis=0)
 
+    def _mask_step(self, h: np.ndarray) -> tuple[Callable, Callable] | None:
+        """One run of a pairwise rule on the canonical path: decide on
+        views of ``h``, ``(h[:-1] > 0) & forwards(h[:-1], h[1:])`` into
+        one preallocated mask, and move it with two in-place slice
+        updates — what :meth:`_decide` and :meth:`_settle` compute,
+        without the gather, the send-count checks and the temporaries
+        in between.  ``forwards`` is the change-driven loop's rule."""
+        forwards = self._local_rule()
+        if forwards is None or not self._canonical:
+            return None
+        mask = np.empty(self.n - 1, dtype=bool)
+        senders, receivers = h[:-1], h[1:]
+
+        def decide(_: np.ndarray) -> tuple[np.ndarray, None]:
+            # a height is never negative, so a non-zero one holds
+            # packets; the mask moves as the heights' dtype, since a
+            # bool operand costs a cast in each of the two updates
+            np.logical_and(senders, forwards(senders, receivers), out=mask)
+            return mask.astype(h.dtype), None
+
+        def settle(_: np.ndarray, sends: np.ndarray, *__: Any) -> tuple:
+            np.subtract(senders, sends, out=senders)
+            np.add(receivers, sends, out=receivers)
+            h[-1] = 0
+            return sends.item(-1), sends
+
+        return decide, settle
+
     def _local_rule(self) -> LocalRule | None:
         """The policy's ``forwards`` when it is the whole decision: a
         :class:`PairwisePolicy` at c = 1 that keeps the default
@@ -177,9 +207,10 @@ class TreeEngine(_DagEngineCore):
         Among the occupied children of each parent the highest wins
         (ties broken by the policy's tie rule, identical winners and
         parity rule to :meth:`TreeOddEvenPolicy.send_mask`), and the
-        winner forwards under the odd/even rule.  Round-robin ties
-        advance the policy's rotation once per step, as ``send_mask``
-        does.
+        winner forwards under the odd/even rule.  A fixed tie rule
+        finds each winner in one pass; round-robin ties gather the tied
+        children and advance the policy's rotation once per step, as
+        ``send_mask`` does.
         """
         from ..policies.tree import TreeOddEvenPolicy
 
@@ -188,6 +219,31 @@ class TreeEngine(_DagEngineCore):
             return None
         succ_l = self.topology.succ.tolist()
         tie = policy.tie_rule
+        lowest = tie == "min_id"
+
+        def fixed_ties(
+            hl: list[int], occ: set[int]
+        ) -> list[tuple[int, int]]:
+            # min_id / max_id: each parent's winner in one pass, no
+            # candidate lists to build and sort
+            win: dict[int, int] = {}
+            for v in occ:
+                p = succ_l[v]
+                w = win.get(p)
+                if w is None or hl[v] > hl[w] or (
+                    hl[v] == hl[w] and (v < w) == lowest
+                ):
+                    win[p] = v
+            moves = []
+            for p, w in win.items():
+                hw = hl[w]
+                # odd height: forward iff parent <= h; even: strictly
+                if hl[p] <= hw if hw & 1 else hl[p] < hw:
+                    moves.append((w, p))
+            return moves
+
+        if tie != "round_robin":
+            return fixed_ties
 
         def rule(hl: list[int], occ: set[int]) -> list[tuple[int, int]]:
             cands: dict[int, list[int]] = {}
@@ -205,21 +261,14 @@ class TreeEngine(_DagEngineCore):
             for p, group in cands.items():
                 if len(group) > 1:
                     group.sort()  # set iteration scrambled the ids
-                    if tie == "min_id":
-                        w = group[0]
-                    elif tie == "max_id":
-                        w = group[-1]
-                    else:
-                        w = group[policy._rotation % len(group)]
+                    w = group[policy._rotation % len(group)]
                 else:
                     w = group[0]
                 hw = besth[p]
                 hp = hl[p]
-                # odd height: forward iff parent <= h; even: strictly
                 if hp <= hw if hw & 1 else hp < hw:
                     moves.append((w, p))
-            if tie == "round_robin":
-                policy._rotation += 1
+            policy._rotation += 1
             return moves
 
         return rule

@@ -86,3 +86,9 @@ class TestEngineAB:
         words = out.split()
         assert words[0] == "old" and words[3] == "new"
         assert words[6] == "new/old" and float(words[7]) > 0
+        # both sides' time per class; every query falls in one class of
+        # each kind
+        rows = [line.split() for line in out.splitlines()[2:]]
+        for kind in (("finite", "unbounded"), ("adversary",), ("topology",)):
+            counts = [int(r[-4]) for r in rows if r[0] in kind]
+            assert sum(counts) == 6, (kind, out)

@@ -226,12 +226,11 @@ def test_uniform_on_a_long_path_hands_off_early():
     assert len(done) == 1 and done[0] < 64
 
 
-def test_finite_buffers_and_series_keep_the_dense_loop():
+def test_series_keeps_the_dense_loop():
+    # finite buffers take the loop too (tests/property/
+    # test_finite_fast_loops.py); a sampled series does not
     patch, done = _spy()
     with patch:
-        PathEngine(
-            64, OddEvenPolicy(), FarEndAdversary(), buffer_capacity=3
-        ).run(100)
         PathEngine(
             64, OddEvenPolicy(), FarEndAdversary(), series_every=5
         ).run(100)

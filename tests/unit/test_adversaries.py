@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adversaries import (
     AmplifiedAdversary,
@@ -29,7 +30,7 @@ from repro.adversaries import (
 )
 from repro.errors import RateViolation
 from repro.network.engine_fast import PathEngine
-from repro.network.topology import path, spider
+from repro.network.topology import from_parent_array, path, spider
 from repro.policies import GreedyPolicy
 
 
@@ -221,6 +222,50 @@ class TestAdaptive:
         h = np.asarray([0, 0, 2, 2, 1, 0])
         (site,) = adv.inject(0, h, topo)
         assert site == 2  # left edge of the non-increasing run to the sink
+
+    @staticmethod
+    def _scan(order, heights):
+        """Pressure's site by the gather and scan it used to make."""
+        hh = heights[order]
+        n = len(order)
+        ascents = np.flatnonzero(hh[: n - 2] < hh[1 : n - 1]) + 1
+        return int(order[int(ascents[-1]) if ascents.size else 0])
+
+    @given(
+        st.integers(2, 300),
+        st.sampled_from(["zeros", "plateau", "ascent-near-sink",
+                         "ascent-at-far-end", "random"]),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pressure_answers_as_the_gathered_scan(
+        self, n, shape, canonical, seed
+    ):
+        # a path whose ids run towards the sink, or its mirror image
+        topo = path(n) if canonical else from_parent_array(
+            [-1] + list(range(n - 1))
+        )
+        order = topo.path_order()
+        rng = np.random.default_rng(seed)
+        hh = np.zeros(n, dtype=np.int64)  # heights in path order
+        if shape == "plateau":
+            at = int(rng.integers(0, n))
+            hh[:at] = rng.integers(0, 3, size=at)
+            hh[at:] = int(rng.integers(1, 4))
+        elif shape == "ascent-near-sink":
+            hh[max(n - 3, 0)] = 2
+        elif shape == "ascent-at-far-end":
+            hh[:2] = (0, 5)
+            hh[2:] = np.sort(rng.integers(0, 5, size=n - 2))[::-1]
+        elif shape == "random":
+            hh[:] = rng.integers(0, 4, size=n)
+        hh[-1] = 0  # the sink
+        heights = np.zeros(n, dtype=np.int64)
+        heights[order] = hh
+        adv = PressureAdversary()
+        adv.reset(topo, 1)
+        assert adv.inject(0, heights, topo) == (self._scan(order, heights),)
 
     def test_plateau_fills_lowest(self):
         topo = path(6)

@@ -266,3 +266,63 @@ class TestBatchedRun:
         e.run(0)
         assert e.step_index == 0
         assert e.metrics.injected == 0
+
+    @pytest.mark.parametrize("bad, message", [
+        ((7,), "step 12: injection at the sink (node 7) is not allowed"),
+        ((9,), "step 12: injection site (node 9) out of range for n=8"),
+        ((2, 3), "step 12: adversary injected 2 packets at sites (2, 3); "
+                 "rate limit is 1"),
+        ((-1,), "step 12: injection site (node -1) out of range for n=8"),
+    ])
+    def test_a_bad_batch_names_its_first_step(self, bad, message):
+        # a one-run schedule is validated in bulk; the error still names
+        # the first step the offending batch appears at, before any step
+        script = {t: (t % 5,) for t in range(40)}
+        script[12] = script[30] = bad
+        e = PathEngine(8, OddEvenPolicy(), ScheduleAdversary(script))
+        e.run(3)
+        with pytest.raises(RateViolation) as err:
+            e.run(37)
+        assert str(err.value) == message
+        assert e.step_index == 3
+
+    def test_sites_that_are_not_plain_ints_are_validated_one_by_one(self):
+        # numpy ints and bools pass validation as the ints they convert
+        # to, exactly as step() lands them
+        script = {t: (np.int64(t % 6),) if t % 2 else (True,)
+                  for t in range(50)}
+        batched = PathEngine(8, OddEvenPolicy(), ScheduleAdversary(script),
+                             buffer_capacity=2)
+        stepped = PathEngine(8, OddEvenPolicy(), ScheduleAdversary(script),
+                             buffer_capacity=2)
+        batched.run(50)
+        for _ in range(50):
+            stepped.step()
+        assert batched.heights.tolist() == stepped.heights.tolist()
+        assert _metrics_key(batched) == _metrics_key(stepped)
+        assert batched.metrics.ledger.detail() == (
+            stepped.metrics.ledger.detail()
+        )
+
+    def test_a_constant_schedule_is_validated_too(self):
+        # one batch object for every step: a bad one still raises, and
+        # numpy sites still land as the ints they convert to
+        bad = (7,)
+        e = PathEngine(8, OddEvenPolicy(),
+                       ScheduleAdversary({t: bad for t in range(40)}))
+        with pytest.raises(RateViolation, match="step 0: injection at the"):
+            e.run(10)
+        site = (np.int64(2),)
+        e = PathEngine(8, OddEvenPolicy(),
+                       ScheduleAdversary({t: site for t in range(40)}))
+        e.run(10)
+        assert e.metrics.injected == 10
+
+    def test_equal_batches_are_one_object(self):
+        # the schedule-period detection compares batches by identity
+        script = {t: (t % 3 + 1,) for t in range(30)}
+        e = PathEngine(8, OddEvenPolicy(), ScheduleAdversary(script))
+        sched = e.adversary.inject_schedule(0, 30, e.topology)
+        batches, _ = e._flatten([(e.adversary, sched, 1)], 30)
+        assert [b for b in batches] == [(t % 3 + 1,) for t in range(30)]
+        assert len({id(b) for b in batches}) == 3

@@ -5,15 +5,22 @@ gave to :func:`golden_queries`: one query per (topology, adversary,
 decision timing) triple of the service surface at a fixed seed and
 step count, eight finite-buffer queries covering every overflow
 discipline, eight with a ``link_down`` + ``halt`` fault plan, and eight
-that omit ``steps`` and so run the default 16n.  The test answers them
+that omit ``steps`` and so run the default 16n.
+``tests/data/service_golden_finite.json`` holds the answers to
+:func:`finite_queries`: finite buffers at the service's own sizes,
+under every discipline and both timings, in runs that never refuse a
+packet, refuse late and refuse from the first steps, with and without
+fault plans.  The test answers them
 through :func:`~repro.service.worker.execute_batch`, one batch per
 batch key, so both vectorised fleet lanes and dedicated-engine lanes
 answer, and compares every field but the wall-clock ``compute_s``.
 
-Regenerate the fixture only from a tree whose answers are trusted::
+Regenerate a fixture only from a tree whose answers are trusted::
 
     PYTHONPATH=src python tests/unit/test_service_golden.py \\
         > tests/data/service_golden.json
+    PYTHONPATH=src python tests/unit/test_service_golden.py finite \\
+        > tests/data/service_golden_finite.json
 """
 
 from __future__ import annotations
@@ -23,7 +30,9 @@ import random
 import sys
 from pathlib import Path
 
-FIXTURE = Path(__file__).resolve().parents[1] / "data" / "service_golden.json"
+DATA = Path(__file__).resolve().parents[1] / "data"
+FIXTURE = DATA / "service_golden.json"
+FINITE_FIXTURE = DATA / "service_golden_finite.json"
 
 #: the service's topology kinds, each with the policy it accepts
 TOPOLOGIES = {
@@ -40,6 +49,14 @@ ADVERSARIES = (
 TIMINGS = ("pre_injection", "post_injection")
 OVERFLOWS = ("drop-tail", "drop-oldest", "push-back")
 STEPS, SEED = 600, 7
+#: the topologies the provisioning service is exercised at
+SERVICE_TOPOLOGIES = {
+    "path:256": "odd-even",
+    "path:1024": "odd-even",
+    "binary:7": "tree-odd-even",
+    "spider:8x16": "tree-odd-even",
+    "random:300": "tree-odd-even",
+}
 
 
 def _combos() -> list[tuple[str, str, str]]:
@@ -74,17 +91,84 @@ def golden_queries() -> list[dict]:
     for _ in range(8):
         topo, adv, timing = rng.choice(combos)
         n, steps = from_spec(topo).n, rng.randrange(500, 2000)
-        out.append(request(topo, adv, timing, steps=steps, faults={
-            "seed": rng.randrange(1 << 16),
-            "events": [
-                {"kind": "link_down", "start": rng.randrange(steps // 2),
-                 "node": rng.randint(1, n - 2),
-                 "duration": rng.randint(5, 50)},
-                {"kind": "halt", "start": rng.randrange(steps // 4, steps)},
-            ],
-        }))
+        out.append(request(
+            topo, adv, timing, steps=steps,
+            faults=_fault_plan(rng, n, steps),
+        ))
     for _ in range(8):
         out.append(request(*rng.choice(combos), seed=rng.randrange(1 << 30)))
+    return out
+
+
+def _fault_plan(rng: random.Random, n: int, steps: int) -> dict:
+    """A ``link_down`` + ``halt`` plan (node 0 drains the trees and
+    node n - 1 the paths, so neither goes down)."""
+    return {
+        "seed": rng.randrange(1 << 16),
+        "events": [
+            {"kind": "link_down", "start": rng.randrange(steps // 2),
+             "node": rng.randint(1, n - 2),
+             "duration": rng.randint(5, 50)},
+            {"kind": "halt", "start": rng.randrange(steps // 4, steps)},
+        ],
+    }
+
+
+def finite_queries() -> list[dict]:
+    """Finite-buffer requests at the service's sizes, a pure function of
+    this module.
+
+    One per (topology, discipline, timing) with a drawn adversary and a
+    capacity in 2..8; capacity 2 under uniform traffic on every
+    topology (refusals within tens to hundreds of steps); seesaw,
+    round-robin and pressure at capacities 2-4; and eight under a
+    fault plan.
+    """
+    from repro.network.topology import from_spec
+
+    rng = random.Random("service-golden-finite")
+
+    def request(topo: str, adv: str, timing: str, **extra) -> dict:
+        steps = rng.randrange(500, 1500)
+        return {
+            "topology": topo, "policy": SERVICE_TOPOLOGIES[topo],
+            "adversary": adv, "decision_timing": timing, "steps": steps,
+            "seed": rng.randrange(1 << 30), **extra,
+        }
+
+    def admitted(topo: str) -> list[str]:
+        return [
+            a for a in ADVERSARIES
+            if a != "pressure" or SERVICE_TOPOLOGIES[topo] == "odd-even"
+        ]
+
+    out = []
+    for topo in SERVICE_TOPOLOGIES:
+        for overflow in OVERFLOWS:
+            for timing in TIMINGS:
+                out.append(request(
+                    topo, rng.choice(admitted(topo)), timing,
+                    buffer_capacity=rng.randint(2, 8), overflow=overflow,
+                ))
+        out.append(request(
+            topo, "uniform", rng.choice(TIMINGS), buffer_capacity=2,
+            overflow=rng.choice(OVERFLOWS),
+        ))
+        for adv in ("seesaw", "round-robin", "pressure"):
+            if adv in admitted(topo):
+                out.append(request(
+                    topo, adv, rng.choice(TIMINGS),
+                    buffer_capacity=rng.randint(2, 4),
+                    overflow=rng.choice(OVERFLOWS),
+                ))
+    for i in range(8):
+        topo = rng.choice(sorted(SERVICE_TOPOLOGIES))
+        q = request(
+            topo, rng.choice(admitted(topo)), rng.choice(TIMINGS),
+            buffer_capacity=rng.randint(2, 8), overflow=OVERFLOWS[i % 3],
+        )
+        q["faults"] = _fault_plan(rng, from_spec(topo).n, q["steps"])
+        out.append(q)
     return out
 
 
@@ -125,8 +209,32 @@ def test_execute_batch_reproduces_the_golden_answers():
         assert response == g["response"], g["request"]
 
 
+def test_finite_fixture_covers_the_surface():
+    golden = json.loads(FINITE_FIXTURE.read_text())
+    requests = [g["request"] for g in golden]
+    assert requests == finite_queries()
+    assert {r["topology"] for r in requests} == set(SERVICE_TOPOLOGIES)
+    assert {r["overflow"] for r in requests} == set(OVERFLOWS)
+    assert {r["decision_timing"] for r in requests} == set(TIMINGS)
+    assert {r["buffer_capacity"] for r in requests} == set(range(2, 9))
+    assert sum("faults" in r for r in requests) == 8
+    # runs that lose packets and runs that lose none
+    lost = [g["response"]["dropped"] > 0 for g in golden]
+    assert any(lost) and not all(lost)
+
+
+def test_execute_batch_reproduces_the_finite_answers():
+    golden = json.loads(FINITE_FIXTURE.read_text())
+    got = answer([g["request"] for g in golden])
+    for g, response in zip(golden, got):
+        assert "error" not in response, (g["request"], response)
+        assert response == g["response"], g["request"]
+
+
 if __name__ == "__main__":
-    requests = golden_queries()
+    requests = finite_queries() if sys.argv[1:] == ["finite"] else (
+        golden_queries()
+    )
     json.dump(
         [{"request": r, "response": a}
          for r, a in zip(requests, answer(requests))],

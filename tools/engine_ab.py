@@ -27,10 +27,12 @@ one-lane provision queries, drawn (seeded by ``--seed``) over the
 service surface — every topology kind with its policy, every adversary
 a topology admits, both decision timings, 500-1,999 steps, one query
 in 8 with a finite buffer and one in 8 with a fault plan.  Sides
-alternate per 64-query chunk; each chunk's process CPU time is the
-minimum of 3 runs.  The tool prints both totals and the new/old time
-ratio (below 1 is faster), and fails if the two trees answer any query
-differently.
+alternate per 64-query chunk, which each side runs 3 times; a query's
+process CPU time is the minimum of its 3 runs.  The tool prints both
+totals and the new/old time ratio (below 1 is faster), then both sides'
+time per class of query — finite or unbounded buffers × faulted or
+clean, each adversary family, each topology — and fails if the two
+trees answer any query differently.
 """
 
 from __future__ import annotations
@@ -135,10 +137,15 @@ def service_queries(repro, count: int, seed: int) -> list[dict]:
     return out
 
 
-def measure_service(old, new, queries: list[dict]) -> tuple[float, float]:
-    """Each side's CPU seconds over ``queries``, answered one lane at a
-    time; both sides must answer alike."""
-    spent = {id(old): 0.0, id(new): 0.0}
+def measure_service(
+    old, new, queries: list[dict]
+) -> tuple[list[float], list[float]]:
+    """Each side's CPU seconds per query, answered one lane at a time;
+    both sides must answer alike."""
+    spent: dict[int, list[float]] = {
+        id(old): [float("inf")] * len(queries),
+        id(new): [float("inf")] * len(queries),
+    }
     for c, at in enumerate(range(0, len(queries), CHUNK)):
         chunk = queries[at:at + CHUNK]
         answers = {}
@@ -147,12 +154,13 @@ def measure_service(old, new, queries: list[dict]) -> tuple[float, float]:
                 side.service.ProvisionQuery.from_dict(raw).to_worker_dict()
                 for raw in chunk
             ]
-            best = float("inf")
+            best = spent[id(side)]
             for _ in range(3):
-                t0 = time.process_time()
-                docs = [side.service.execute_batch([lane])[0] for lane in lanes]
-                best = min(best, time.process_time() - t0)
-            spent[id(side)] += best
+                docs = []
+                for i, lane in enumerate(lanes, at):
+                    t0 = time.process_time()
+                    docs.append(side.service.execute_batch([lane])[0])
+                    best[i] = min(best[i], time.process_time() - t0)
             answers[id(side)] = [
                 {k: v for k, v in doc.items() if k != "compute_s"}
                 for doc in docs
@@ -162,6 +170,47 @@ def measure_service(old, new, queries: list[dict]) -> tuple[float, float]:
                 raise SystemExit(f"error: the trees answer {raw} differently")
         print(f"queries {at + len(chunk)}/{len(queries)} done", file=sys.stderr)
     return spent[id(old)], spent[id(new)]
+
+
+def classes(raw: dict) -> list[str]:
+    """The classes a provision query is reported under."""
+    return [
+        ("finite" if "buffer_capacity" in raw else "unbounded")
+        + (" faulted" if "faults" in raw else " clean"),
+        f"adversary {raw['adversary']}",
+        f"topology {raw['topology']}",
+    ]
+
+
+def service_report(
+    queries: list[dict], before: list[float], after: list[float]
+) -> str:
+    """The totals, then both sides' CPU time per class: the buffer
+    classes, the adversaries, the topologies, each kind by the old
+    side's time."""
+    table: dict[str, list] = {}
+    for raw, b, a in zip(queries, before, after):
+        for name in classes(raw):
+            row = table.setdefault(name, [0, 0.0, 0.0])
+            row[0] += 1
+            row[1] += b
+            row[2] += a
+    lines = [
+        f"old {sum(before):.2f} s  new {sum(after):.2f} s  "
+        f"new/old {sum(after) / sum(before):.3f}",
+        f"{'class':<26} {'queries':>7} {'old ms':>9} {'new ms':>9} "
+        f"{'new/old':>7}",
+    ]
+    kinds = {"adversary": 1, "topology": 2}
+    for name in sorted(
+        table, key=lambda k: (kinds.get(k.split()[0], 0), -table[k][1])
+    ):
+        count, b, a = table[name]
+        lines.append(
+            f"{name:<26} {count:7d} {1e3 * b:9.1f} {1e3 * a:9.1f} "
+            f"{a / b if b else float('nan'):7.3f}"
+        )
+    return "\n".join(lines)
 
 
 def report(ratios: dict[str, list[float]]) -> str:
@@ -205,8 +254,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 queries = service_queries(new, args.service, args.seed)
                 before, after = measure_service(old, new, queries)
-                print(f"old {before:.2f} s  new {after:.2f} s  "
-                      f"new/old {after / before:.3f}")
+                print(service_report(queries, before, after))
         finally:
             sys.path.remove(tmp)
     return 0
