@@ -724,8 +724,8 @@ class _DagEngineCore(_Durable):
 
     def _mask_step(self, h: np.ndarray) -> tuple[Callable, Callable] | None:
         """A ``(decide, settle)`` pair that replaces :meth:`_decide` and
-        :meth:`_settle` in the dense loop over one run's heights ``h``
-        with unbounded buffers, or ``None``."""
+        :meth:`_settle` in the dense loop over one run's heights ``h``,
+        or ``None``."""
         return None
 
     # ------------------------------------------------------------------
@@ -1179,7 +1179,7 @@ class _DagEngineCore(_Durable):
         pre = self.decision_timing == "pre_injection"
         validate = self.validate
         step = None
-        if h.ndim == 1 and cap is None and not validate:
+        if h.ndim == 1 and not validate:
             step = self._mask_step(h)
         decide, settle = step or (self._decide, self._settle)
         land = self._land

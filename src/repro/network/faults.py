@@ -38,9 +38,13 @@ Fault semantics (the *fail-stop, persistent-queue* model; see
 ``halt``
     The whole simulation process is killed at ``start`` — the injector
     raises :class:`~repro.errors.FaultError` before the step mutates
-    any state.  A halt fires at most once per injector instance:
+    any state, its own included: nothing else of that step registers
+    first.  A halt fires at most once per injector instance:
     the fired set deliberately survives :meth:`FaultInjector.restore`,
     modelling the new process that resumes after the old one died.
+    So a run survives a halt either by restoring a snapshot and
+    replaying (:func:`run_with_recovery`) or by going on from the step
+    it struck (:func:`run_through_halts`), with the same result.
 """
 
 from __future__ import annotations
@@ -68,8 +72,12 @@ __all__ = [
     "NO_FAULTS",
     "FaultInjector",
     "check_fault_nodes",
+    "run_through_halts",
     "run_with_recovery",
 ]
+
+#: how many injected halts a driven run survives before it gives up
+MAX_RECOVERIES = 16
 
 
 class FaultKind(str, Enum):
@@ -370,7 +378,18 @@ class FaultInjector:
         ------
         FaultError
             If a ``halt`` event fires at this step (first time only).
+            The halt is checked before anything else, so the injector
+            is left exactly as it was: a crash, an outage, a jitter
+            window, a deferred release or a background draw at the
+            halt's own step registers only when the step is retried.
+            An engine may then resume in place (:func:`run_through_halts`).
         """
+        onsets = self._by_start.get(step, ())
+        if step not in self._fired_halts and any(
+            e.kind is FaultKind.HALT for e in onsets
+        ):
+            self._fired_halts.add(step)
+            raise FaultError(f"injected halt killed the run at step {step}")
         # expire finished outages first, so that a node whose crash ends
         # exactly now can immediately suffer (and wipe on) a fresh one
         for table in (self._crash_until, self._link_until):
@@ -378,14 +397,8 @@ class FaultInjector:
                 del table[node]
 
         wiped: list[int] = []
-        for e in self._by_start.get(step, ()):  # scheduled onsets
-            if e.kind is FaultKind.HALT:
-                if step not in self._fired_halts:
-                    self._fired_halts.add(step)
-                    raise FaultError(
-                        f"injected halt killed the run at step {step}"
-                    )
-            elif e.kind is FaultKind.CRASH:
+        for e in onsets:  # scheduled onsets
+            if e.kind is FaultKind.CRASH:
                 node = int(e.node)  # type: ignore[arg-type]
                 already = node in self._crash_until
                 self._crash_until[node] = max(
@@ -502,12 +515,52 @@ class FaultInjector:
         self._pending = {k: list(v) for k, v in snap["pending"].items()}
 
 
+def _recovered(
+    recoveries: int, max_recoveries: int, step: int, err: FaultError
+) -> int:
+    """Count one more recovery from ``err``, or give up past the budget."""
+    if recoveries >= max_recoveries:
+        raise FaultError(
+            f"gave up after {max_recoveries} recoveries at step {step}"
+        ) from err
+    return recoveries + 1
+
+
+def run_through_halts(engine, steps: int) -> int:
+    """Drive ``engine`` for ``steps`` rounds, resuming every injected
+    halt where it struck; returns the number of recoveries.
+
+    A halt raises before its step changes the engine or its injector
+    (:meth:`FaultInjector.begin_step` checks it first, and every engine
+    calls that before anything else), and the injector remembers it, so
+    the run simply goes on from the halted step: no snapshot and no
+    replay.  The answer, the recovery count and the give-up point are
+    those of :func:`run_with_recovery` (pinned by tests), which stays
+    the harness for a *real* process death.
+
+    Raises
+    ------
+    FaultError
+        If more than :data:`MAX_RECOVERIES` kills occur.
+    """
+    target = engine.step_index + steps
+    recoveries = 0
+    while engine.step_index < target:
+        try:
+            engine.run(target - engine.step_index)
+        except FaultError as err:
+            recoveries = _recovered(
+                recoveries, MAX_RECOVERIES, engine.step_index, err
+            )
+    return recoveries
+
+
 def run_with_recovery(
     engine,
     steps: int,
     *,
     snapshot_every: int = 50,
-    max_recoveries: int = 16,
+    max_recoveries: int = MAX_RECOVERIES,
     checkpoint_dir: str | Path | None = None,
 ) -> int:
     """Drive ``engine`` for ``steps`` rounds, surviving injected halts.
@@ -563,12 +616,9 @@ def run_with_recovery(
                     if ckpt_path is not None:
                         engine.save_checkpoint(ckpt_path)
         except FaultError as err:
-            recoveries += 1
-            if recoveries > max_recoveries:
-                raise FaultError(
-                    f"gave up after {max_recoveries} recoveries at step "
-                    f"{engine.step_index}"
-                ) from err
+            recoveries = _recovered(
+                recoveries, max_recoveries, engine.step_index, err
+            )
             engine.restore(snap)
     if ckpt_path is not None:
         engine.save_checkpoint(ckpt_path)  # final state, for auditability

@@ -27,9 +27,13 @@ each run is classified:
   observes injections, or a fleet of one run (a one-column matrix has
   nothing to vectorise across).  Each such run gets its own PathEngine
   (on the canonical path) or TreeEngine with a deep-copied policy, so
-  the fleet's results are complete either way.  A faulted lane runs
-  under :func:`~repro.network.faults.run_with_recovery`, so it survives
-  its ``halt`` events the way a lone engine does.
+  the fleet's results are complete either way.  Every such lane runs
+  under :func:`~repro.network.faults.run_through_halts` (a plain run
+  for a lane without a fault plan): a ``halt`` raises before its step
+  changes anything, so a faulted lane resumes where it struck, with no
+  snapshots and no replay, on a lone engine's recovery budget, and ends
+  exactly where :func:`~repro.network.faults.run_with_recovery` would
+  have.
 
 Every lane — vectorised or not — is **bit-identical** to running that
 configuration alone on PathEngine/TreeEngine/Simulator (the Hypothesis
@@ -63,7 +67,7 @@ from .dag_engine import (
     check_settings,
 )
 from .engine_fast import PathEngine
-from .faults import FaultInjector, FaultPlan, run_with_recovery
+from .faults import FaultInjector, FaultPlan, run_through_halts
 from .metrics import LossLedger
 from .simulator import RunResult
 from .topology import Topology, path
@@ -218,14 +222,6 @@ class FleetEngine(_Durable):
             return PathEngine(self.topology.n, lane_policy, adv, **kwargs)
         return TreeEngine(self.topology, lane_policy, adv, **kwargs)
 
-    @staticmethod
-    def _advance(eng, steps: int) -> None:
-        """Step one fallback lane; a faulted lane survives its halts."""
-        if eng.faults is None:
-            eng.run(steps)
-        elif steps > 0:
-            run_with_recovery(eng, steps, snapshot_every=max(1, steps // 8))
-
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
@@ -278,7 +274,7 @@ class FleetEngine(_Durable):
         if steps <= 0:
             return self
         for eng in self._engines.values():
-            self._advance(eng, steps)
+            run_through_halts(eng, steps)
         if self._kernel is not None:
             self._run_vec(steps)
         self.step_index += steps
@@ -321,7 +317,7 @@ class FleetEngine(_Durable):
             )
         captured: dict[int, RunResult] = {}
         for r, eng in self._engines.items():
-            self._advance(eng, targets[r] - eng.step_index)
+            run_through_halts(eng, targets[r] - eng.step_index)
             captured[r] = eng.result()
         for target in sorted({targets[r] for r in self._vec_rows}):
             if target > self.step_index:

@@ -165,12 +165,22 @@ class TreeEngine(_DagEngineCore):
         one preallocated mask, and move it with two in-place slice
         updates — what :meth:`_decide` and :meth:`_settle` compute,
         without the gather, the send-count checks and the temporaries
-        in between.  ``forwards`` is the change-driven loop's rule."""
+        in between.  ``forwards`` is the change-driven loop's rule.
+
+        Finite buffers take it too.  A move after which no buffer holds
+        more than the capacity refused nothing, and is then the
+        unbounded move under every discipline (the fast loops' own
+        test, see :meth:`_DagEngineCore._run_quiet`; the dense loop
+        lands each site against the capacity itself).  A move that
+        leaves a buffer above it is undone, and the step settles
+        through :meth:`_settle`, which owns refusals and the ledger.
+        """
         forwards = self._local_rule()
         if forwards is None or not self._canonical:
             return None
         mask = np.empty(self.n - 1, dtype=bool)
         senders, receivers = h[:-1], h[1:]
+        cap = self.buffer_capacity
 
         def decide(_: np.ndarray) -> tuple[np.ndarray, None]:
             # a height is never negative, so a non-zero one holds
@@ -179,9 +189,18 @@ class TreeEngine(_DagEngineCore):
             np.logical_and(senders, forwards(senders, receivers), out=mask)
             return mask.astype(h.dtype), None
 
-        def settle(_: np.ndarray, sends: np.ndarray, *__: Any) -> tuple:
+        def settle(_: np.ndarray, sends: np.ndarray, __: Any,
+                   ledgers: list) -> tuple:
             np.subtract(senders, sends, out=senders)
             np.add(receivers, sends, out=receivers)
+            # the sink held nothing before the move, and now holds at
+            # most one packet: within any capacity
+            if cap is not None and h.max() > cap:
+                np.subtract(receivers, sends, out=receivers)
+                np.add(senders, sends, out=senders)
+                full = np.zeros_like(h)
+                full[:-1] = sends
+                return self._settle(h, full, self.topology.succ, ledgers)
             h[-1] = 0
             return sends.item(-1), sends
 

@@ -11,10 +11,15 @@ Request flow for ``POST /provision``::
            └─ admission control ─────── full → 503 + Retry-After
                 └─ query batcher (every provision query is a lane of
                    the batch its key selects; experiments go alone)
-                     └─ shard pool (deadline, retries, breakers;
-                        one FleetEngine call per flushed batch)
+                     └─ shard pool (one spawned worker per shard,
+                        on a pipe the event loop reads; deadline,
+                        retries, breakers; one FleetEngine call per
+                        flushed batch)
                           ├─ ok ──────────── answer check
                           │    ├─ pass ───── 200, response cached
+                          │    │             (a failed cache write
+                          │    │             still answers 200,
+                          │    │             uncached and counted)
                           │    └─ fail ───── 500 {error}, not cached
                           ├─ query error ─── 422 {error}  (a poisoned
                           │  lane 422s alone — batchmates unaffected)
@@ -175,7 +180,7 @@ class ProvisioningService:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
-        self.pool.warm_up()
+        await self.pool.warm_up()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -210,7 +215,8 @@ class ProvisioningService:
         (default ``config.drain_deadline_s``) of wall clock to finish,
         then are force-cancelled.  The listener stays open through the
         drain window — orchestrator probes observe the 503 — and closes
-        before the shard pool is torn down.
+        before the shard pool is torn down, which closes each worker's
+        pipe and lets the worker exit by itself.
         """
         if self._stopped:
             return dict(self._drain_report)
@@ -548,6 +554,8 @@ class ProvisioningService:
         except ServiceError as err:
             self.counters.errors += 1
             return 500, {}, {"error": f"internal error: {err}"}
+        # a disk that refuses the write costs the cache an entry, not
+        # the client its checked answer (counted in /stats)
         self.cache.put(key, response, query=query)
         self.counters.served_ok += 1
         return 200, {}, {**response, "cached": False}

@@ -62,6 +62,7 @@ class ResultCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
+        self.write_errors = 0
         # the one read of the index from disk, compacted at once
         self.store.write_index(self.store.load_index())
 
@@ -95,15 +96,20 @@ class ResultCache:
 
     def put(
         self, key: str, response: dict[str, Any], *, query: ProvisionQuery
-    ) -> Path:
-        """Store ``response`` under ``key``, then evict to the bounds."""
+    ) -> Path | None:
+        """Store ``response`` under ``key``, then evict to the bounds.
+
+        Returns the artifact's path, or ``None`` when the disk refused
+        a write (a full disk, a read-only directory): the failure is
+        counted in :meth:`stats` as ``write_errors`` and the caller
+        serves its answer uncached.  A failed artifact write leaves no
+        partial artifact, so the key stays a miss; a failure after it
+        (the journal line, the eviction) leaves a whole, checksummed
+        artifact, which a later :meth:`get` may serve.
+        """
         body = {"key": key, "response": response}
         doc = {"format": ENTRY_FORMAT, "sha256": canonical_sha256(body),
                "body": body}
-        path = atomic_write_text(
-            self.store.record_path(_entry_name(key)),
-            json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n",
-        )
         meta: dict[str, Any] = {
             "kind": query.kind,
             "topology_sha": query.topology_sha,
@@ -112,10 +118,18 @@ class ResultCache:
             "steps": query.steps,
             "bucket": shape_bucket(query),
         }
-        self.store.touch(_entry_name(key), meta=meta)
-        self.store.evict(
-            max_bytes=self.max_bytes, max_entries=self.max_entries
-        )
+        try:
+            path = atomic_write_text(
+                self.store.record_path(_entry_name(key)),
+                json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n",
+            )
+            self.store.touch(_entry_name(key), meta=meta)
+            self.store.evict(
+                max_bytes=self.max_bytes, max_entries=self.max_entries
+            )
+        except OSError:
+            self.write_errors += 1
+            return None
         return path
 
     # ------------------------------------------------------------------
@@ -152,6 +166,7 @@ class ResultCache:
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": round(self.hit_rate, 4),
+            "write_errors": self.write_errors,
             "entries": len(self.store.index["entries"]),
             "bytes": self.store.indexed_bytes(),
             "max_bytes": self.max_bytes,

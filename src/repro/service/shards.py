@@ -1,29 +1,45 @@
 """The shard pool: worker processes behind per-shard circuit breakers.
 
-Each shard is one single-worker :class:`ProcessPoolExecutor`, so a
-hung or crashed query takes down exactly one shard — which the pool
-then kills and rebuilds, exactly as the experiment runner heals its
-pool (:mod:`repro.runner.runner`), while the shard's circuit breaker
-remembers the misbehaviour.  Deadlines are enforced here: a query's
-remaining budget bounds both the wait for a free healthy shard and the
-execution itself, and an expired execution terminates the shard's
-worker process — a dead deadline never leaves a zombie computation
-burning a slot.
+Each shard is one spawned worker process on a duplex
+:func:`multiprocessing.Pipe`.  The event loop writes a pickled
+``(fn, args)`` call to the pipe and reads the reply once the pipe's
+file descriptor is readable (``loop.add_reader``), a frame at a time
+and without ever blocking on a partial read: no thread sits between a
+query and its worker.  A hung or crashed query takes down exactly one
+shard, which the pool then kills and rebuilds, exactly as the
+experiment runner heals its pool (:mod:`repro.runner.runner`), while
+the shard's circuit breaker remembers the misbehaviour.  End of file on
+the pipe is the worker's death, seen the moment it happens.  Deadlines
+are enforced here: a query's remaining budget bounds both the wait for
+a free healthy shard and the execution itself, and an expired
+execution kills the shard's worker process, so a dead deadline never
+leaves a zombie computation burning a slot.  Closing the pool closes
+the pipes: each worker reads end of file and exits 0 on its own,
+running its exit hooks.
 """
 
 from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import multiprocessing.util
+import os
+import pickle
+import struct
 from typing import Any, Callable, Sequence
-
-from concurrent.futures import ProcessPoolExecutor
 
 from .protocol import ProvisionQuery, ServiceError
 from .resilience import CircuitBreaker, Deadline, backoff_delay
 from .worker import execute_batch, execute_query, warm_worker
 
 __all__ = ["NoHealthyShard", "QueryFailed", "Shard", "ShardPool"]
+
+#: the frame header of :class:`multiprocessing.connection.Connection`
+#: for frames under 2 GiB (the only ones a shard sends): a signed
+#: 32-bit payload length
+_HEADER = struct.Struct("!i")
+#: how long a closed pool waits for its workers to exit by themselves
+_EXIT_GRACE_S = 5.0
 
 
 class NoHealthyShard(ServiceError):
@@ -32,6 +48,185 @@ class NoHealthyShard(ServiceError):
 
 class QueryFailed(ServiceError):
     """The query ran and failed deterministically (no retry)."""
+
+
+class WorkerDied(ServiceError):
+    """A shard's worker closed its pipe before it answered."""
+
+
+def _serve(conn: Any) -> None:
+    """A shard worker's body: answer ``(fn, args)`` calls until the pipe
+    closes, then return, so the process exits 0 and runs its exit
+    hooks.  A call that raises answers with the exception."""
+    while True:
+        try:
+            fn, args = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            reply = (True, fn(*args))
+        except Exception as err:
+            reply = (False, err)
+        try:
+            conn.send(reply)
+        except (EOFError, OSError):
+            return
+        except Exception as err:  # an unpicklable reply
+            conn.send((False, ServiceError(f"unpicklable reply: {err!r}")))
+
+
+def _frame(obj: Any) -> bytes:
+    """``obj`` pickled in a :class:`~multiprocessing.connection.Connection`
+    frame, as the worker's ``recv`` reads it."""
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(data)) + data
+
+
+class _Worker:
+    """One spawned worker process and the event loop's end of its pipe.
+
+    Calls alternate strictly with replies; the reader keeps what a
+    readable pipe holds until a whole frame is in.
+    """
+
+    def __init__(self, name: str) -> None:
+        # spawn, not fork: a worker (re)built mid-request must not
+        # inherit duplicates of the front end's live client sockets —
+        # a forked worker holding a connection FD keeps that connection
+        # established after the handler closes it, so clients never
+        # see the close and FDs leak into every rebuilt worker (pinned
+        # by tools/hostile_client.py)
+        ctx = multiprocessing.get_context("spawn")
+        conn, child = ctx.Pipe(duplex=True)
+        self.process = ctx.Process(target=_serve, args=(child,), name=name)
+        try:
+            self.process.start()
+        finally:
+            child.close()
+        self.conn = conn
+        self.fd = conn.fileno()
+        os.set_blocking(self.fd, False)
+        self._buf = bytearray()
+        # (unregister, waiter) while a call waits on the event loop
+        self._watch: tuple[Callable, asyncio.Future[Any]] | None = None
+        # a pool that is never closed still ends its workers at exit,
+        # before multiprocessing joins the children it knows of
+        self._reap = multiprocessing.util.Finalize(
+            self, _end, args=(self.process, conn), exitpriority=10
+        )
+
+    # -- the event loop's side ------------------------------------------
+    async def call(self, fn: Callable[..., Any], args: tuple) -> Any:
+        """``fn(*args)`` in the worker; raises what it raised, or
+        :class:`WorkerDied` when the pipe reaches end of file first."""
+        loop = asyncio.get_running_loop()
+        data = memoryview(_frame((fn, args)))
+        while data:
+            try:
+                data = data[os.write(self.fd, data):]
+            except BlockingIOError:
+                await self._wait(loop.add_writer, loop.remove_writer, None)
+        reply = self._take()
+        if reply is None:
+            reply = await self._wait(
+                loop.add_reader, loop.remove_reader, self._take
+            )
+        ok, value = reply
+        if not ok:
+            raise value
+        return value
+
+    async def _wait(
+        self, add: Callable, remove: Callable, take: Callable | None
+    ) -> Any:
+        """Wait until the pipe takes more bytes (``take`` is ``None``) or
+        ``take()`` finds a whole reply there, which is returned."""
+        waiter = asyncio.get_running_loop().create_future()
+
+        def ready() -> None:
+            if waiter.done():
+                return
+            try:
+                got = True if take is None else take()
+            except Exception as err:
+                waiter.set_exception(err)
+            else:
+                if got is not None:
+                    waiter.set_result(got)
+
+        add(self.fd, ready)
+        self._watch = remove, waiter
+        try:
+            return await waiter
+        finally:
+            self._unwatch()
+
+    def _unwatch(self) -> None:
+        watch, self._watch = self._watch, None
+        if watch is not None:
+            watch[0](self.fd)
+
+    def _take(self) -> Any:
+        """Read what the pipe holds, up to the end of the reply's frame;
+        the reply once the frame is whole, else ``None``.  Raises
+        :class:`WorkerDied` at end of file before a whole frame."""
+        buf = self._buf
+        while (end := _frame_end(buf)) is None or len(buf) < end:
+            left = 1 << 16 if end is None else end - len(buf)
+            try:
+                chunk = os.read(self.fd, min(left, 1 << 20))
+            except BlockingIOError:
+                return None
+            except OSError as err:
+                raise WorkerDied(f"worker pipe failed: {err}") from err
+            if not chunk:
+                raise WorkerDied("worker exited before it answered")
+            buf += chunk
+        reply = pickle.loads(memoryview(buf)[_HEADER.size:end])
+        del buf[:end]
+        return reply
+
+    # ------------------------------------------------------------------
+    def hang_up(self) -> None:
+        """Close the pipe, so the worker reads end of file and exits; a
+        call still waiting fails with :class:`WorkerDied`."""
+        watch = self._watch
+        self._unwatch()
+        if watch is not None and not watch[1].done():
+            watch[1].set_exception(WorkerDied("the shard was stopped"))
+        self.conn.close()
+
+    def end(self, *, kill: bool) -> None:
+        """Stop the worker and reap it: killed at once, or (``kill``
+        false) left to exit after :meth:`hang_up`, and killed only if it
+        has not exited within the grace period."""
+        self.hang_up()
+        if kill:
+            self.process.kill()
+        self._reap()
+
+
+def _frame_end(buf: bytearray) -> int | None:
+    """Where the frame at the head of ``buf`` ends, once its header is
+    in; else ``None``."""
+    if len(buf) < _HEADER.size:
+        return None
+    (size,) = _HEADER.unpack_from(buf)
+    if size < 0:
+        raise WorkerDied(f"worker sent a frame of {size} bytes")
+    return _HEADER.size + size
+
+
+def _end(process: Any, conn: Any) -> None:
+    """Close the pipe (the worker reads end of file and exits), reap the
+    process, killing it past the grace period, and free its
+    descriptors."""
+    conn.close()
+    process.join(_EXIT_GRACE_S)
+    if process.exitcode is None:
+        process.kill()
+        process.join()
+    process.close()
 
 
 class Shard:
@@ -53,42 +248,48 @@ class Shard:
         self.restarts = 0
         self.served = 0
         self.warmed_pid: int | None = None
-        self._executor: ProcessPoolExecutor | None = None
+        self._worker: _Worker | None = None
 
-    def executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            # spawn, not fork: a worker (re)built mid-request must not
-            # inherit duplicates of the front end's live client
-            # sockets — a forked worker holding a connection FD keeps
-            # that connection established after the handler closes it,
-            # so clients never see the close and FDs leak into every
-            # rebuilt worker (pinned by tools/hostile_client.py)
-            self._executor = ProcessPoolExecutor(
-                max_workers=1,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-        return self._executor
+    def worker(self) -> _Worker:
+        """This shard's worker, spawned on first use."""
+        if self._worker is None:
+            self._worker = _Worker(f"repro-shard-{self.shard_id}")
+        return self._worker
+
+    async def call(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(*args)`` in this shard's worker.
+
+        A call that does not end with a reply (the worker died, ``fn``
+        raised, or the call was cancelled, as a deadline cancels it)
+        restarts the shard: a reply still owed would otherwise answer
+        the next call.
+        """
+        try:
+            return await self.worker().call(fn, args)
+        except BaseException:
+            self.restart()
+            raise
+
+    def hang_up(self) -> None:
+        """Ask the worker to exit (see :meth:`close`) without waiting."""
+        if self._worker is not None:
+            self._worker.hang_up()
+
+    def _stop(self, *, kill: bool) -> None:
+        worker, self._worker = self._worker, None
+        self.warmed_pid = None
+        if worker is not None:
+            worker.end(kill=kill)
 
     def restart(self) -> None:
-        """Kill the worker process (it may be hung) and start fresh."""
-        executor, self._executor = self._executor, None
-        self.warmed_pid = None
-        if executor is not None:
-            for proc in list(getattr(executor, "_processes", {}).values()):
-                try:
-                    proc.terminate()
-                except Exception:  # pragma: no cover - already dead
-                    pass
-            try:
-                executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - broken teardown
-                pass
+        """Kill the worker process (it may be hung) and reap it; the
+        next call spawns a fresh one."""
+        self._stop(kill=True)
         self.restarts += 1
 
     def close(self) -> None:
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        """Let the worker exit by itself (see :meth:`_Worker.end`)."""
+        self._stop(kill=False)
 
     def stats(self) -> dict[str, Any]:
         return {
@@ -162,19 +363,6 @@ class ShardPool:
         shard.busy = False
 
     # -- execution -----------------------------------------------------
-    async def _run_once(
-        self, shard: Shard, fn: Callable[..., Any], payload: Any, left: float
-    ) -> Any:
-        fut = shard.executor().submit(fn, payload)
-        try:
-            return await asyncio.wait_for(
-                asyncio.wrap_future(fut), timeout=left
-            )
-        except asyncio.TimeoutError:
-            # the worker is still chewing (or hung): reclaim the slot
-            shard.restart()
-            raise
-
     async def _execute(
         self,
         fn: Callable[..., Any],
@@ -187,7 +375,8 @@ class ShardPool:
         :meth:`submit_batch`.
 
         Bounded retries with exponential backoff + deterministic jitter
-        on *infrastructure* failures (worker death, hang); any returned
+        on *infrastructure* failures (worker death, hang, an exception
+        raised in the worker); any returned
         payload — including in-query ``{"error": ...}`` documents — is
         a healthy shard, so the breaker records success and the caller
         decides what the payload means.  The remaining deadline is
@@ -208,9 +397,12 @@ class ShardPool:
                 self._release(shard)
                 deadline.check("executing")  # raises DeadlineExceeded
             attempts_left = self.retries + 2 - attempt
+            # a failed call has already restarted its shard: a worker
+            # past its deadline is still chewing (or hung), and one
+            # that died answers nothing more
             try:
-                response = await self._run_once(
-                    shard, fn, payload, left / attempts_left
+                response = await asyncio.wait_for(
+                    shard.call(fn, payload), timeout=left / attempts_left
                 )
             except asyncio.TimeoutError:
                 shard.breaker.record_failure()
@@ -219,8 +411,6 @@ class ShardPool:
                     f"(attempt {attempt})"
                 )
             except Exception as err:
-                # BrokenProcessPool and friends: the worker died
-                shard.restart()
                 shard.breaker.record_failure()
                 last_reason = (
                     f"shard {shard.shard_id} worker died: "
@@ -291,23 +481,32 @@ class ShardPool:
         return responses
 
     # ------------------------------------------------------------------
-    def warm_up(self, *, timeout_s: float = 60.0) -> None:
+    async def warm_up(self, *, timeout_s: float = 60.0) -> None:
         """Pre-spawn every shard's worker and run the warm-up body in
-        it (numpy import + a throwaway 1-lane fleet), so the first real
-        request doesn't pay the fork/import latency spike inside its
+        it (numpy import + a throwaway 2-run fleet), so the first real
+        request doesn't pay the spawn/import latency spike inside its
         deadline.  Warm-ups run concurrently across shards; a shard
-        whose warm-up fails stays usable — it just starts cold."""
-        futures = [
-            (shard, shard.executor().submit(warm_worker))
-            for shard in self.shards
-        ]
-        for shard, fut in futures:
+        whose warm-up fails or outlasts ``timeout_s`` stays usable —
+        its worker is stopped (not counted as a restart) and the next
+        call spawns it cold."""
+
+        async def warm(shard: Shard) -> None:
             try:
-                shard.warmed_pid = int(fut.result(timeout=timeout_s))
-            except Exception:  # pragma: no cover - cold start is legal
-                shard.warmed_pid = None
+                shard.warmed_pid = await shard.worker().call(warm_worker, ())
+            except BaseException:  # pragma: no cover - cold start is legal
+                shard._stop(kill=True)
+
+        tasks = [asyncio.create_task(warm(shard)) for shard in self.shards]
+        _, late = await asyncio.wait(tasks, timeout=timeout_s)
+        for task in late:  # pragma: no cover - a warm-up past its budget
+            task.cancel()
+        await asyncio.gather(*tasks)
 
     def close(self) -> None:
+        """Close every shard's pipe at once, then reap the workers as
+        they exit (each within the grace period, else killed)."""
+        for shard in self.shards:
+            shard.hang_up()
         for shard in self.shards:
             shard.close()
 

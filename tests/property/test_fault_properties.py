@@ -9,17 +9,27 @@ schedules and asserts the two load-bearing properties of the design:
 * **ledger balance** — the extended conservation law
   ``injected == delivered + in_flight + dropped`` holds after *every*
   step, not just at the end, for any fault plan and overflow
-  discipline.
+  discipline;
+* **a clean halt** — a halt changes nothing at its step, so a run may
+  resume where it struck.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adversaries import ScheduleAdversary
+from repro.errors import FaultError
 from repro.network.engine_fast import PathEngine
-from repro.network.faults import FaultEvent, FaultKind, FaultPlan, RandomFaults
+from repro.network.faults import (
+    FaultEvent,
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
+    RandomFaults,
+)
 from repro.network.simulator import Simulator
 from repro.network.topology import path
 from repro.policies import GreedyPolicy, OddEvenPolicy
@@ -156,3 +166,47 @@ def test_ledger_balances_after_every_step(run):
             )
         assert np.array_equal(np.asarray(sim.heights), eng.heights)
         assert sim.metrics.ledger.detail() == eng.metrics.ledger.detail()
+
+
+@given(degraded_run(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_halt_changes_nothing_at_its_step(run, data):
+    """An unfired halt raises before its step touches the injector:
+    ``snapshot()`` is unchanged although a crash (wiping or not), a link
+    outage, a jitter window, a deferred release and a background draw
+    all share the halt's step, and outages end there.  The retried step
+    then answers what a halt-free twin answers."""
+    n, steps, _sched, plan, _cap, _overflow, _policy = run
+    t = data.draw(st.integers(0, steps - 1), label="halt step")
+    node = st.integers(0, n - 2)
+    shared = (
+        FaultEvent(kind=FaultKind.CRASH, start=t, node=data.draw(node),
+                   duration=data.draw(st.integers(1, 3)),
+                   wipe=data.draw(st.booleans())),
+        FaultEvent(kind=FaultKind.LINK_DOWN, start=t, node=data.draw(node)),
+        FaultEvent(kind=FaultKind.JITTER, start=t, delay=2),
+    )
+    background = RandomFaults(
+        p_link_down=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        p_crash=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        wipe=True,
+    )
+    # the halt comes last, after every event it shares its step with
+    events = plan.events + shared
+    halted = FaultInjector(FaultPlan(
+        events + (FaultEvent(kind=FaultKind.HALT, start=t),),
+        random=background, seed=plan.seed,
+    ), path(n))
+    twin = FaultInjector(
+        FaultPlan(events, random=background, seed=plan.seed), path(n)
+    )
+    for inj in (halted, twin):
+        for s in range(t):
+            inj.begin_step(s)
+        inj.defer_injections(max(0, t - 1), (0, n - 2), t - max(0, t - 1))
+    before = halted.snapshot()
+    with pytest.raises(FaultError, match=f"halt killed the run at step {t}"):
+        halted.begin_step(t)
+    assert halted.snapshot() == before
+    assert halted.begin_step(t) == twin.begin_step(t)
+    assert halted.snapshot() == twin.snapshot()

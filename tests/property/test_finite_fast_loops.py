@@ -258,3 +258,81 @@ def test_the_service_sizes_never_refusing_take_no_dense_step():
                     overflow=overflow,
                 ).run(1500)
     assert starts == []
+
+
+# ---------------------------------------------------------------------
+# the one-run dense path step under finite buffers
+
+
+@st.composite
+def dense_path_run(draw):
+    """``(make_engine, chunks)``: a finite path run forced into the
+    dense loop from its first step (the change-driven loop hands over
+    at once), where a pairwise rule takes the mask step."""
+    n = draw(st.integers(3, 24))
+    seed = draw(st.integers(0, 2**16))
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    policy = PAIRWISE[draw(st.sampled_from(sorted(PAIRWISE)))]
+    kw = {
+        "decision_timing": draw(st.sampled_from(TIMINGS)),
+        "buffer_capacity": draw(st.sampled_from([1, 2, 3, 4, 50])),
+        "overflow": draw(st.sampled_from(list(Overflow))),
+    }
+
+    def make():
+        engine = PathEngine(n, policy(), FAMILIES[family](n, seed), **kw)
+        engine._CHANGE_LIMIT = -1
+        return engine
+
+    chunks = draw(st.lists(st.integers(0, 200), min_size=1, max_size=4))
+    return make, chunks
+
+
+@given(dense_path_run())
+@settings(max_examples=250, deadline=None)
+def test_finite_dense_path_runs_equal_stepping(case):
+    make, chunks = case
+    batched, stepped = make(), make()
+    for k in chunks:
+        batched.run(k)
+        for _ in range(k):
+            stepped.step()
+        assert _state(batched) == _state(stepped)
+
+
+@pytest.mark.parametrize("timing", TIMINGS)
+@pytest.mark.parametrize("overflow", list(Overflow))
+def test_only_a_refusing_move_leaves_the_mask_step(overflow, timing):
+    """A finite dense path step settles through ``_settle`` only when
+    its move would leave a buffer above the capacity.  Deciding before
+    injection, a capacity of 1 refuses moves at this load; deciding
+    after it, Odd-Even never moves a packet into a full buffer, so its
+    refusals are all at injection, which the loop lands itself."""
+    steps = 600
+    for cap, refuses in ((50, False), (1, timing == "pre_injection")):
+        def make():
+            engine = PathEngine(
+                64, OddEvenPolicy(), UniformRandomAdversary(p=0.9, seed=7),
+                buffer_capacity=cap, overflow=overflow,
+                decision_timing=timing,
+            )
+            engine._CHANGE_LIMIT = -1
+            return engine
+
+        batched, stepped = make(), make()
+        calls = []
+        settle = dag_engine._DagEngineCore._settle
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.step_index)
+            return settle(self, *args, **kwargs)
+
+        with mock.patch.object(dag_engine._DagEngineCore, "_settle", counted):
+            batched.run(steps)
+        for _ in range(steps):
+            stepped.step()
+        assert _state(batched) == _state(stepped)
+        if refuses:
+            assert 0 < len(calls) < steps
+        else:
+            assert calls == []

@@ -18,12 +18,15 @@ over an in-process pool), and compares whole response documents.
 from __future__ import annotations
 
 import asyncio
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.adversaries import make_adversary
 from repro.analysis.occupancy import default_step_budget
 from repro.errors import ReproError
+from repro.network.dag_engine import _DagEngineCore
 from repro.network.engine_fast import PathEngine
 from repro.network.faults import FaultPlan, run_with_recovery
 from repro.network.topology import from_spec
@@ -207,7 +210,24 @@ def test_one_key_batch_matches_dedicated_engines(raws):
         assert _strip(got) == _oracle(d)
 
 
+#: a crash that wipes node 1 at the very step a halt strikes: a faulted
+#: lane resumes in place, so the halt must raise before the crash
+#: registers, or the retried step finds the node already down and
+#: loses the wipe
+HALT_SHARES_A_WIPE = {
+    "topology": "binary:2", "policy": "tree-odd-even",
+    "overflow": "drop-tail", "decision_timing": "pre_injection",
+    "buffer_capacity": None, "adversary": "far-end", "steps": 10,
+    "seed": 0, "faults": {"seed": 0, "events": [
+        {"kind": "crash", "start": 2, "node": 1, "duration": 1,
+         "wipe": True},
+        {"kind": "halt", "start": 2},
+    ]},
+}
+
+
 @given(raws=st.lists(queries(), min_size=1, max_size=8))
+@example(raws=[HALT_SHARES_A_WIPE])
 @settings(max_examples=30, deadline=None)
 def test_execute_batch_bit_identical_to_solo(raws):
     """Worker layer: a batch that mixes batch keys still answers lane
@@ -287,3 +307,74 @@ def test_nineteen_halts_give_up_alone_and_in_a_batch(batchmate_steps):
     got = execute_batch([faulted, mate])
     assert _strip(got[0]) == want
     assert _strip(got[1]) == _oracle(mate)
+
+
+def _halting(topology, events, **over):
+    policy = TOPOLOGIES[topology]
+    return {
+        "topology": topology, "policy": policy, "adversary": "uniform",
+        "steps": 40, "seed": 2, "faults": {"seed": 3, "events": events},
+        **over,
+    }
+
+
+HALT_EDGES = {
+    "first step": [{"kind": "halt", "start": 0}],
+    "last step": [{"kind": "halt", "start": 39}],
+    "several": [
+        {"kind": "halt", "start": t} for t in (0, 1, 7, 8, 20, 39)
+    ],
+    "twice at one step": [
+        {"kind": "halt", "start": 5}, {"kind": "halt", "start": 5},
+    ],
+    "sharing steps": [
+        {"kind": "link_down", "start": 3, "node": 2, "duration": 4},
+        {"kind": "halt", "start": 3},
+        {"kind": "crash", "start": 7, "node": 1, "duration": 2,
+         "wipe": True},
+        {"kind": "halt", "start": 7},
+        {"kind": "halt", "start": 9},
+        {"kind": "crash", "start": 9, "node": 2, "duration": 3},
+    ],
+    "past the horizon": [{"kind": "halt", "start": 40}],
+}
+
+
+@pytest.mark.parametrize("topology", ["path:12", "binary:2", "random:12"])
+@pytest.mark.parametrize("capacity", [None, 2])
+@pytest.mark.parametrize("edge", sorted(HALT_EDGES))
+def test_halts_at_the_edges_match_run_with_recovery(edge, capacity, topology):
+    """Halts at step 0, at the last step, several per run, two at one
+    step and halts sharing their step with other faults: a lane that
+    resumes in place answers what ``run_with_recovery``'s replay
+    answers."""
+    d = _worker_dict(_halting(
+        topology, HALT_EDGES[edge], buffer_capacity=capacity,
+    ))
+    want = _oracle(d)
+    assert "error" not in want
+    assert _strip(execute_batch([d])[0]) == want
+
+
+@given(raws=one_key_batches())
+@settings(max_examples=25, deadline=None)
+def test_a_faulted_lane_never_steps_back(raws):
+    """A faulted lane survives its halts without a snapshot, a restore
+    or a replayed step: every engine's ``run`` starts at or past where
+    its previous one did."""
+    starts: dict[int, list[int]] = {}
+    run = _DagEngineCore.run
+
+    def traced(self, steps):
+        starts.setdefault(id(self), []).append(self.step_index)
+        return run(self, steps)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a faulted lane went back to a snapshot")
+
+    with mock.patch.object(_DagEngineCore, "run", traced), \
+            mock.patch.object(_DagEngineCore, "snapshot", refuse), \
+            mock.patch.object(_DagEngineCore, "restore", refuse):
+        docs = execute_batch([_worker_dict(r) for r in raws])
+    assert all(seq == sorted(seq) for seq in starts.values())
+    assert not any("went back" in doc.get("error", "") for doc in docs)

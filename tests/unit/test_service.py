@@ -856,3 +856,56 @@ def test_a_failed_answer_check_is_a_500_and_never_cached(tmp_path):
     assert svc.stats()["served"]["errors"] == 1
     assert svc.stats()["served"]["ok"] == 0
     assert svc.cache.stats()["entries"] == 0
+
+
+class _InlinePool:
+    """Duck-typed ShardPool answering on the event loop."""
+
+    async def submit_batch(self, queries, deadline):
+        return [execute_query(q.to_worker_dict()) for q in queries]
+
+
+def test_a_failed_cache_write_serves_the_answer_uncached(
+    tmp_path, monkeypatch
+):
+    """A disk that refuses the artifact write (ENOSPC) costs the cache
+    an entry, not the client its checked answer: 200, ``cached:
+    false``, the failure counted in /stats, the key still a miss."""
+    import errno
+
+    import repro.service.cache as cache_module
+
+    svc = ProvisioningService(
+        ServiceConfig(port=0, cache_dir=str(tmp_path / "cache"))
+    )
+    svc.batcher = QueryBatcher(_InlinePool())
+    query = {"topology": "path:16", "steps": 50}
+    body = json.dumps(query).encode()
+
+    def full_disk(path, text):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    async def post():
+        slot = svc.governor.register("client")
+        return await svc._provision(body, slot)
+
+    monkeypatch.setattr(cache_module, "atomic_write_text", full_disk)
+    status, _headers, doc = asyncio.run(post())
+    assert status == 200
+    assert doc["cached"] is False
+    want = execute_query(ProvisionQuery.from_dict(query).to_worker_dict())
+    assert doc["max_height"] == want["max_height"]
+    stats = svc.stats()
+    assert stats["cache"]["write_errors"] == 1
+    assert stats["cache"]["entries"] == 0
+    assert stats["served"] == {
+        "ok": 1, "cached": 0, "degraded": 0, "errors": 0,
+    }
+    assert svc.cache.get(doc["cache_key"]) is None
+    assert not list((tmp_path / "cache").glob("q*.json"))
+    # once the disk takes writes again, the same query is cached
+    monkeypatch.undo()
+    status, _headers, doc = asyncio.run(post())
+    assert (status, doc["cached"]) == (200, False)
+    assert svc.cache.get(doc["cache_key"]) is not None
+    assert svc.stats()["cache"]["write_errors"] == 1

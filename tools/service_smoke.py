@@ -25,7 +25,10 @@ contract from docs/robustness.md:
   no connections;
 * a SIGTERM to a real ``repro serve`` subprocess triggers the
   graceful drain and the process exits 0 inside
-  ``--drain-deadline-s`` plus slack.
+  ``--drain-deadline-s`` plus slack;
+* the server runs in a session of its own, and none of that session's
+  processes (its shard workers included) is still alive a few seconds
+  after the server exits: a closed pool leaves no orphaned worker.
 
 Exits non-zero (with a diagnostic) on any violation — this is the CI
 ``service-smoke`` job and also runs via ``make service-smoke``.
@@ -108,11 +111,30 @@ def check(ok: bool, what: str, failures: list[str]) -> None:
 
 DRAIN_DEADLINE_S = 5.0
 DRAIN_SLACK_S = 10.0  # SIGTERM → exit may also pay pool teardown
+ORPHAN_GRACE_S = 3.0  # how long the session may outlive its leader
+
+
+def session_pids(sid: int) -> list[int]:
+    """Processes of session ``sid`` that are still alive (zombies are
+    dead: only their exit status is left to collect)."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:  # exited while we looked
+            continue
+        state, _ppid, _pgrp, session = stat[stat.rindex(")") + 2:].split()[:4]
+        if int(session) == sid and state != "Z":
+            pids.append(int(entry.name))
+    return sorted(pids)
 
 
 def sigterm_drain_check(failures: list[str], cache_dir: str) -> None:
-    """Boot a real ``repro serve`` subprocess, SIGTERM it, and assert
-    the graceful drain finishes (exit 0) inside the drain deadline."""
+    """Boot a real ``repro serve`` subprocess in a session of its own,
+    SIGTERM it, and assert the graceful drain finishes (exit 0) inside
+    the drain deadline and leaves no process of the session alive."""
     repo = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = (
@@ -124,7 +146,7 @@ def sigterm_drain_check(failures: list[str], cache_dir: str) -> None:
          "--shards", "1", "--cache-dir", cache_dir,
          "--drain-deadline-s", str(DRAIN_DEADLINE_S)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, cwd=repo, env=env,
+        text=True, cwd=repo, env=env, start_new_session=True,
     )
     try:
         assert proc.stdout is not None
@@ -152,9 +174,20 @@ def sigterm_drain_check(failures: list[str], cache_dir: str) -> None:
         tail = proc.stdout.read() or ""
         check("drain complete" in tail,
               "serve subprocess logged the drain accounting", failures)
+        deadline = time.monotonic() + ORPHAN_GRACE_S
+        while (left := session_pids(proc.pid)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        check(not left,
+              f"no process of the server's session outlives it by "
+              f"{ORPHAN_GRACE_S:g}s (alive: {left})", failures)
     finally:
         if proc.poll() is None:  # pragma: no cover - hung subprocess
             proc.kill()
+        for pid in session_pids(proc.pid):  # pragma: no cover - orphans
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def main(argv: list[str] | None = None) -> int:
